@@ -26,6 +26,7 @@
 #include "common/table_printer.h"
 #include "exec/parallel_sweep.h"
 #include "obs/profiler.h"
+#include "obs/span.h"
 
 namespace snapq::bench {
 namespace {
@@ -54,7 +55,7 @@ TierRun RunTier(size_t n, uint64_t seed, int num_rounds) {
 
   std::unique_ptr<SensorNetwork> net;
   {
-    obs::ScopedPhaseTimer build_timer(obs::ProfPhase::kNetworkBuild);
+    obs::Span build_span(nullptr, obs::ProfPhase::kNetworkBuild);
     net = std::make_unique<SensorNetwork>(config);
   }
 

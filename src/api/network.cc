@@ -115,14 +115,6 @@ obs::HealthSample SensorNetwork::SampleHealth() {
   return sample;
 }
 
-void SensorNetwork::ScheduleHealthSampling(Time first, Time horizon,
-                                           Time interval) {
-  SNAPQ_CHECK_GT(interval, 0);
-  for (Time t = first; t < horizon; t += interval) {
-    sim_->ScheduleAt(t, [this] { SampleHealth(); });
-  }
-}
-
 obs::TelemetryRecorder& SensorNetwork::EnableTelemetry(
     const obs::TelemetryConfig& config) {
   EnsureHealthMonitor();  // registers the health gauges the probes read
@@ -151,10 +143,6 @@ obs::TelemetryRecorder& SensorNetwork::EnableTelemetry(
     flight_recorder_ = raw;
   }
 
-  if (auditor_ != nullptr) TrackAccuracySeries();
-  if (energy_ledger_ != nullptr) TrackEnergySeries();
-  if (topo_monitor_ != nullptr) TrackTopoSeries();
-
   watchdog_ = std::make_unique<obs::SloWatchdog>(telemetry_.get(),
                                                  &sim_->journal());
   watchdog_->SetBreachCallback([this](const obs::SloBreach& breach) {
@@ -169,6 +157,7 @@ obs::TelemetryRecorder& SensorNetwork::EnableTelemetry(
     ctx.tracer = tracer_.get();
     obs::WriteBlackbox(flight_recorder_, ctx, cfg.blackbox_path);
   });
+  TrackObserverSeries();
   return *telemetry_;
 }
 
@@ -176,38 +165,16 @@ obs::EnergyLedger& SensorNetwork::EnableEnergyLedger() {
   energy_ledger_ = std::make_unique<obs::EnergyLedger>(
       config_.energy, agents_.size(), &sim_->registry());
   sim_->SetEnergyLedger(energy_ledger_.get());
-  if (telemetry_ != nullptr) TrackEnergySeries();
+  TrackObserverSeries();
   return *energy_ledger_;
-}
-
-void SensorNetwork::TrackEnergySeries() {
-  telemetry_->TrackGauge("energy.drained");
-  telemetry_->TrackGauge("energy.burn_rate");
-  telemetry_->TrackCounterRate("net.node_deaths");
-  // Remaining-charge and forecast gauges only exist for finite batteries
-  // (an unlimited model's would be infinite, and TrackGauge would create
-  // them in the registry just to serialize null into sidecars).
-  if (!energy_ledger_->unlimited()) {
-    telemetry_->TrackGauge("energy.remaining_total");
-    telemetry_->TrackGauge("energy.remaining_min");
-    telemetry_->TrackGauge("energy.first_death_tick");
-    telemetry_->TrackGauge("energy.coverage_knee_tick");
-  }
 }
 
 obs::AccuracyAuditor& SensorNetwork::EnableAccuracyAudit(
     const obs::AccuracyAuditConfig& config) {
   auditor_ = std::make_unique<obs::AccuracyAuditor>(
       config, agents_.size(), &sim_->registry(), &sim_->journal());
-  if (telemetry_ != nullptr) TrackAccuracySeries();
+  TrackObserverSeries();
   return *auditor_;
-}
-
-void SensorNetwork::TrackAccuracySeries() {
-  telemetry_->TrackGauge("accuracy.violation_rate");
-  telemetry_->TrackGauge("accuracy.budget_burn");
-  telemetry_->TrackGauge("accuracy.max_abs_error");
-  telemetry_->TrackCounterRate("accuracy.violations");
 }
 
 obs::TopologyMonitor& SensorNetwork::EnableTopologyMonitor(
@@ -215,20 +182,43 @@ obs::TopologyMonitor& SensorNetwork::EnableTopologyMonitor(
   topo_monitor_ = std::make_unique<obs::TopologyMonitor>(
       config, agents_.size(), &sim_->registry(), &sim_->journal());
   sim_->SetLinkObserver(&topo_monitor_->link_observer());
-  if (telemetry_ != nullptr) TrackTopoSeries();
+  TrackObserverSeries();
   return *topo_monitor_;
 }
 
-void SensorNetwork::TrackTopoSeries() {
-  telemetry_->TrackGauge("topo.partitions");
-  telemetry_->TrackGauge("topo.bridges");
-  telemetry_->TrackGauge("topo.articulation_nodes");
-  telemetry_->TrackGauge("topo.avg_degree");
-  telemetry_->TrackGauge("topo.isolated_nodes");
-  telemetry_->TrackGauge("topo.weak_links");
-  telemetry_->TrackGauge("churn.flap_rate");
-  telemetry_->TrackGauge("churn.election_rate");
-  telemetry_->TrackGauge("churn.rep_tenure_p50");
+void SensorNetwork::TrackObserverSeries() {
+  if (telemetry_ == nullptr) return;
+  if (auditor_ != nullptr) {
+    telemetry_->TrackGauge("accuracy.violation_rate");
+    telemetry_->TrackGauge("accuracy.budget_burn");
+    telemetry_->TrackGauge("accuracy.max_abs_error");
+    telemetry_->TrackCounterRate("accuracy.violations");
+  }
+  if (energy_ledger_ != nullptr) {
+    telemetry_->TrackGauge("energy.drained");
+    telemetry_->TrackGauge("energy.burn_rate");
+    telemetry_->TrackCounterRate("net.node_deaths");
+    // Remaining-charge and forecast gauges only exist for finite batteries
+    // (an unlimited model's would be infinite, and TrackGauge would create
+    // them in the registry just to serialize null into sidecars).
+    if (!energy_ledger_->unlimited()) {
+      telemetry_->TrackGauge("energy.remaining_total");
+      telemetry_->TrackGauge("energy.remaining_min");
+      telemetry_->TrackGauge("energy.first_death_tick");
+      telemetry_->TrackGauge("energy.coverage_knee_tick");
+    }
+  }
+  if (topo_monitor_ != nullptr) {
+    telemetry_->TrackGauge("topo.partitions");
+    telemetry_->TrackGauge("topo.bridges");
+    telemetry_->TrackGauge("topo.articulation_nodes");
+    telemetry_->TrackGauge("topo.avg_degree");
+    telemetry_->TrackGauge("topo.isolated_nodes");
+    telemetry_->TrackGauge("topo.weak_links");
+    telemetry_->TrackGauge("churn.flap_rate");
+    telemetry_->TrackGauge("churn.election_rate");
+    telemetry_->TrackGauge("churn.rep_tenure_p50");
+  }
 }
 
 const obs::TopologySnapshot& SensorNetwork::SampleTopologyNow() {

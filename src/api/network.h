@@ -118,8 +118,6 @@ class SensorNetwork {
   /// Probes snapshot health right now and feeds the sample into the
   /// monitor (created on first use, gauges in sim().registry()).
   obs::HealthSample SampleHealth();
-  /// Samples health every `interval` ticks in [first, horizon).
-  void ScheduleHealthSampling(Time first, Time horizon, Time interval);
   /// The health monitor, or nullptr before the first sample.
   obs::SnapshotHealthMonitor* health_monitor() { return monitor_.get(); }
 
@@ -251,19 +249,14 @@ class SensorNetwork {
   std::unique_ptr<MaintenanceDriver> maintenance_;
   std::optional<Dataset> dataset_;
   obs::SnapshotHealthMonitor& EnsureHealthMonitor();
-  /// Tracks the accuracy gauges as telemetry series (idempotent — the
-  /// recorder dedupes by name); called from whichever of EnableTelemetry /
-  /// EnableAccuracyAudit runs second.
-  void TrackAccuracySeries();
-  /// Tracks the energy gauges as telemetry series (idempotent); called
-  /// from whichever of EnableTelemetry / EnableEnergyLedger runs second.
-  /// Remaining-charge and forecast series are skipped for unlimited
-  /// batteries (satellite: no infinite gauges in timeline/blackbox JSON).
-  void TrackEnergySeries();
-  /// Tracks the topology/churn gauges as telemetry series (idempotent);
-  /// called from whichever of EnableTelemetry / EnableTopologyMonitor
-  /// runs second.
-  void TrackTopoSeries();
+  /// Tracks the gauges of every attached observer (accuracy auditor,
+  /// energy ledger, topology monitor) as telemetry series; a no-op before
+  /// EnableTelemetry. Called at the end of EnableTelemetry and of each
+  /// observer's Enable*, so any enable order tracks every series once (the
+  /// recorder dedupes by name). Remaining-charge and forecast series are
+  /// skipped for unlimited batteries (no infinite gauges in timeline or
+  /// blackbox JSON).
+  void TrackObserverSeries();
   /// Copies `options` with the auditor injected (when enabled and the
   /// caller has not set a hook of their own).
   ExecutionOptions WithAudit(const ExecutionOptions& options) const;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "obs/span.h"
 
 namespace snapq {
 namespace {
@@ -39,9 +38,7 @@ LinearModel FitWeighted(std::span<const ObservationPair> pairs,
 }
 
 LinearModel FitForMetric(std::span<const ObservationPair> pairs,
-                         const ErrorMetric& metric,
-                         obs::MetricRegistry* registry) {
-  obs::Span span(registry, "model.refit");
+                         const ErrorMetric& metric) {
   if (pairs.empty()) return LinearModel{0.0, 0.0};
   switch (metric.kind()) {
     case ErrorMetricKind::kSumSquared: {

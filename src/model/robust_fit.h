@@ -21,7 +21,6 @@
 #include "model/cache_line.h"
 #include "model/error_metric.h"
 #include "model/linear_model.h"
-#include "obs/metric_registry.h"
 
 namespace snapq {
 
@@ -31,12 +30,9 @@ LinearModel FitWeighted(std::span<const ObservationPair> pairs,
                         const std::vector<double>& weights);
 
 /// The metric-optimal line over `pairs` (see file comment). For the sse
-/// metric this equals RegressionStats::Fit(). When `registry` is non-null
-/// the fit is timed into its "model.refit.wall_us" histogram (the IRLS
-/// fits are the expensive ones; a null registry costs nothing).
+/// metric this equals RegressionStats::Fit().
 LinearModel FitForMetric(std::span<const ObservationPair> pairs,
-                         const ErrorMetric& metric,
-                         obs::MetricRegistry* registry = nullptr);
+                         const ErrorMetric& metric);
 
 /// Total error of `model` over `pairs` under `metric` (the objective
 /// FitForMetric approximately minimizes).

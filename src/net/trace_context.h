@@ -13,8 +13,8 @@
 
 namespace snapq {
 
-/// The one radio-event taxonomy shared by the legacy ring recorder
-/// (sim/trace.h) and the causal tracer's per-message delivery records.
+/// The radio-event taxonomy of the causal tracer's per-message delivery
+/// records (the trace analyzer and the Perfetto export read it back).
 enum class RadioEventKind { kSend, kDeliver, kSnoop, kLoss };
 
 /// Stable lowercase name ("send", "deliver", "snoop", "loss").

@@ -1,7 +1,5 @@
 #include "obs/profiler.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -209,31 +207,6 @@ void Profiler::ExportTo(MetricRegistry* registry) const {
     registry->GetGauge(base + "p99")->Set(wall.Percentile(99));
     registry->GetGauge(base + "max")->Set(wall.max_seen());
   }
-}
-
-double ScopedPhaseTimer::ThreadCpuMicros() {
-  struct timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0) return 0.0;
-  return static_cast<double>(ts.tv_sec) * 1e6 +
-         static_cast<double>(ts.tv_nsec) * 1e-3;
-}
-
-ScopedPhaseTimer::ScopedPhaseTimer(ProfPhase phase)
-    : profiler_(Profiler::Active()), phase_(phase) {
-  if (profiler_ != nullptr) {
-    wall_start_ = std::chrono::steady_clock::now();
-    cpu_start_us_ = ThreadCpuMicros();
-  }
-}
-
-ScopedPhaseTimer::~ScopedPhaseTimer() {
-  if (profiler_ == nullptr) return;
-  const double wall_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - wall_start_)
-          .count();
-  const double cpu_us = ThreadCpuMicros() - cpu_start_us_;
-  profiler_->RecordPhase(phase_, wall_us, std::max(cpu_us, 0.0));
 }
 
 }  // namespace snapq::obs

@@ -1,8 +1,9 @@
 // The hot-path profiler: log-bucketed latency histograms with fixed
-// memory, scoped CPU+wall timers, and operation counters for the rates
-// the ROADMAP's perf work cares about (messages simulated/sec, model
-// fits/sec, election rounds/sec). Complements the MetricRegistry the same
-// way a sampling profiler complements accounting ledgers:
+// memory (fed by obs::Span's CPU+wall phase timing) and operation
+// counters for the rates the ROADMAP's perf work cares about (messages
+// simulated/sec, model fits/sec, election rounds/sec). Complements the
+// MetricRegistry the same way a sampling profiler complements accounting
+// ledgers:
 //
 //  * the registry is per-simulation and answers "how many protocol
 //    messages did this trial send" — experiment semantics;
@@ -112,7 +113,7 @@ enum class HotOp : uint8_t {
   kMessagesDelivered,  ///< addressed deliveries (handler ran or dropped)
   kMessagesSnooped,    ///< overheard unicasts
   kCacheOps,           ///< cache-maintenance CPU charges
-  kModelFits,          ///< FitForMetric calls (LS + IRLS refits)
+  kModelFits,          ///< RegressionStats::Fit calls (every LS fit)
   kElectionRounds,     ///< RunGlobalElection invocations
   kMaintenanceRounds,  ///< MaintenanceDriver rounds
   kQueriesExecuted,    ///< QueryExecutor::ExecuteRegion rounds
@@ -123,9 +124,10 @@ constexpr size_t kNumHotOps = static_cast<size_t>(HotOp::kCount);
 /// registry export.
 const char* HotOpName(HotOp op);
 
-/// Coarse phases measured with scoped CPU+wall timers. Kept to phases that
-/// run at most a few thousand times per experiment so the two clock reads
-/// per side stay invisible.
+/// Coarse phases timed by obs::Span (obs/span.h), which feeds the wall and
+/// thread-CPU histograms below. Kept to phases that run at most a few
+/// thousand times per experiment so the two clock reads per side stay
+/// invisible.
 enum class ProfPhase : uint8_t {
   kElection = 0,
   kMaintenanceRound,
@@ -203,25 +205,6 @@ class Profiler {
 inline void ProfCount(HotOp op, uint64_t delta = 1) {
   if (Profiler* p = Profiler::Active()) p->Count(op, delta);
 }
-
-/// RAII CPU+wall timer for one ProfPhase occurrence. Inert (two pointer
-/// loads) when profiling is disabled at construction.
-class ScopedPhaseTimer {
- public:
-  explicit ScopedPhaseTimer(ProfPhase phase);
-  ~ScopedPhaseTimer();
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
-
-  /// Thread CPU time in microseconds (CLOCK_THREAD_CPUTIME_ID).
-  static double ThreadCpuMicros();
-
- private:
-  Profiler* profiler_;
-  ProfPhase phase_;
-  std::chrono::steady_clock::time_point wall_start_{};
-  double cpu_start_us_ = 0.0;
-};
 
 }  // namespace snapq::obs
 

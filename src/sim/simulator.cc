@@ -102,11 +102,6 @@ bool Simulator::Send(const Message& msg) {
                                            queue_.now());
     }
   }
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEvent{TraceEvent::Kind::kSend, queue_.now(),
-                              msg.type, from, kInvalidNode, msg.epoch,
-                              span_ctx.trace_id, span_ctx.span_id});
-  }
 
   for (NodeId receiver : links_.Reachable(from)) {
     const bool addressed =
@@ -134,11 +129,6 @@ bool Simulator::Send(const Message& msg) {
       if (span_ctx.sampled()) {
         tracer_->RecordDelivery(span_ctx, receiver, queue_.now(),
                                 RadioEventKind::kLoss);
-      }
-      if (trace_ != nullptr) {
-        trace_->Record(TraceEvent{TraceEvent::Kind::kLoss, queue_.now(),
-                                  msg.type, from, receiver, msg.epoch,
-                                  span_ctx.trace_id, span_ctx.span_id});
       }
       continue;
     }
@@ -202,13 +192,6 @@ void Simulator::Deliver(NodeId to, const Message& msg, bool snooped) {
     tracer_->RecordDelivery(
         msg.trace, to, queue_.now(),
         snooped ? RadioEventKind::kSnoop : RadioEventKind::kDeliver);
-  }
-  if (trace_ != nullptr) {
-    trace_->Record(TraceEvent{snooped ? TraceEvent::Kind::kSnoop
-                                      : TraceEvent::Kind::kDeliver,
-                              queue_.now(), msg.type, msg.from, to,
-                              msg.epoch, msg.trace.trace_id,
-                              msg.trace.span_id});
   }
   if (handlers_[to]) {
     TraceScope scope(*this, msg.trace);

@@ -31,7 +31,6 @@
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
-#include "sim/trace.h"
 
 namespace snapq {
 
@@ -137,9 +136,6 @@ class Simulator {
 
   Rng& rng() { return rng_; }
 
-  /// Attaches an event tracer (nullptr detaches). Not owned.
-  void SetTrace(TraceRecorder* trace) { trace_ = trace; }
-
   /// Attaches a causal tracer (nullptr detaches). Not owned. With a tracer
   /// attached, Send mints a message span per transmission (child of the
   /// sender's context), stamps it on every delivered copy, and records
@@ -163,11 +159,6 @@ class Simulator {
     link_observer_ = observer;
   }
   obs::LinkObserver* link_observer() { return link_observer_; }
-
-  /// True when a tracer is attached and its sampling is non-zero.
-  bool tracing_enabled() const {
-    return tracer_ != nullptr && tracer_->enabled();
-  }
 
   /// The causal context of the event currently executing (unsampled when
   /// tracing is off or the current event has no traced cause).
@@ -243,7 +234,6 @@ class Simulator {
   std::vector<std::unique_ptr<DeliveryEvent>> delivery_pool_;
   std::vector<DeliveryEvent*> free_deliveries_;
   std::array<double, kNumMessageTypes> type_loss_{};
-  TraceRecorder* trace_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::EnergyLedger* energy_ledger_ = nullptr;
   obs::LinkObserver* link_observer_ = nullptr;

@@ -52,8 +52,7 @@ ElectionStats RunGlobalElection(
     const SnapshotConfig& config) {
   SNAPQ_CHECK_GE(t0, sim.now());
   obs::ProfCount(obs::HotOp::kElectionRounds);
-  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kElection);
-  obs::Span span(&sim.registry(), "election");
+  obs::Span span(&sim.registry(), obs::ProfPhase::kElection);
   span.BeginSim(t0);
   sim.journal().Emit("election.start", t0, [&](obs::JournalEvent& e) {
     e.Int("nodes", static_cast<int64_t>(agents.size()));

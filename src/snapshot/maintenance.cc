@@ -49,14 +49,13 @@ void MaintenanceDriver::RunRound(Time round_start, Time /*horizon*/,
                                  RoundCallback callback) {
   sim_->ResetPerNodeCounters();
   obs::ProfCount(obs::HotOp::kMaintenanceRounds);
-  obs::ScopedPhaseTimer phase_timer(obs::ProfPhase::kMaintenanceRound);
   const uint64_t sends_before = ProtocolSends(sim_->metrics());
   // Root cause: this round's heartbeats, replies, timeout re-elections and
   // resignations all trace back here.
   const TraceContext round_ctx =
       sim_->MintTraceRoot(obs::TraceRootKind::kHeartbeatRound, kInvalidNode);
   {
-    obs::Span tick_span(&sim_->registry(), "maintenance.tick");
+    obs::Span tick_span(&sim_->registry(), obs::ProfPhase::kMaintenanceRound);
     tick_span.AttachTrace(sim_->tracer(), round_ctx);
     tick_span.BeginSim(round_start);
     Simulator::TraceScope scope(*sim_, round_ctx);

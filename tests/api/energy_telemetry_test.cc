@@ -2,8 +2,8 @@
 // gauges into telemetry. remaining_total/remaining_min and the forecast
 // ticks are infinity when the battery is unbounded, and TrackGauge on
 // them would serialize `null` into every timeline sidecar — so
-// TrackEnergySeries skips them for EnergyModel::Unlimited() and tracks
-// the full set only for finite batteries, in either enable order.
+// SensorNetwork skips them for EnergyModel::Unlimited() and tracks the
+// full set only for finite batteries, in either enable order.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -75,6 +75,33 @@ TEST(EnergyTelemetryTest, FiniteModelTracksTheFullSeriesSet) {
   const std::string timeline = obs::TimelineToJson(recorder, nullptr, meta);
   EXPECT_NE(timeline.find("energy.remaining_total"), std::string::npos);
   EXPECT_EQ(timeline.find("inf"), std::string::npos);
+}
+
+TEST(EnergyTelemetryTest, EverySeriesTrackedOnceInEitherEnableOrder) {
+  // 9 default + 4 accuracy + 9 topology/churn + 3 energy, plus the four
+  // remaining/forecast series for a finite battery only.
+  for (const bool finite : {false, true}) {
+    for (const bool telemetry_first : {true, false}) {
+      NetworkConfig config = SmallConfig();
+      if (finite) config.energy = EnergyModel();
+      SensorNetwork net(config);
+      if (telemetry_first) net.EnableTelemetry();
+      net.EnableEnergyLedger();
+      net.EnableAccuracyAudit();
+      net.EnableTopologyMonitor();
+      if (!telemetry_first) net.EnableTelemetry();
+      const obs::TelemetryRecorder& recorder = *net.telemetry();
+      EXPECT_EQ(recorder.num_series(), finite ? 29u : 25u)
+          << "finite=" << finite << " telemetry_first=" << telemetry_first;
+      for (const char* name :
+           {"energy.drained", "energy.burn_rate", "net.node_deaths.rate",
+            "accuracy.violation_rate", "accuracy.violations.rate",
+            "topo.partitions", "churn.rep_tenure_p50"}) {
+        EXPECT_NE(recorder.series(name), nullptr) << name;
+      }
+      EXPECT_EQ(recorder.series("energy.remaining_total") != nullptr, finite);
+    }
+  }
 }
 
 }  // namespace

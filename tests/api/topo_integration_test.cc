@@ -163,13 +163,17 @@ TEST(TopoIntegrationTest, TopoSeriesRegisterInEitherEnableOrder) {
     config.transmission_range = 2.0;
     config.seed = 2;
     SensorNetwork net(config);
-    if (telemetry_first) {
-      net.EnableTelemetry();
-      net.EnableTopologyMonitor();
-    } else {
-      net.EnableTopologyMonitor();
-      net.EnableTelemetry();
-    }
+    // All four observers: telemetry, then the three with series — or the
+    // three first and telemetry last.
+    if (telemetry_first) net.EnableTelemetry();
+    net.EnableTopologyMonitor();
+    net.EnableAccuracyAudit();
+    net.EnableEnergyLedger();
+    if (!telemetry_first) net.EnableTelemetry();
+    // 9 default + 9 topology/churn + 4 accuracy + 3 energy (the unlimited
+    // default battery skips the remaining/forecast four): each exactly once.
+    EXPECT_EQ(net.telemetry()->num_series(), 25u)
+        << "telemetry_first=" << telemetry_first;
     for (const char* name :
          {"topo.partitions", "topo.bridges", "topo.articulation_nodes",
           "topo.avg_degree", "topo.isolated_nodes", "topo.weak_links",

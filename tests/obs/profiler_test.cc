@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/metric_registry.h"
+#include "obs/span.h"
 
 namespace snapq::obs {
 namespace {
@@ -159,15 +160,16 @@ TEST(ProfilerTest, ProfCountRespectsEnableDisable) {
   Profiler::Disable();
 }
 
-TEST(ProfilerTest, ScopedPhaseTimerRecordsOnlyWhenEnabled) {
+TEST(ProfilerTest, SpanRecordsPhaseOnlyWhenEnabled) {
   Profiler::Global().Reset();
   Profiler::Disable();
-  { ScopedPhaseTimer timer(ProfPhase::kElection); }
+  MetricRegistry registry;
+  { Span span(&registry, ProfPhase::kElection); }
   EXPECT_EQ(Profiler::Global().wall_us(ProfPhase::kElection).count(), 0u);
 
   Profiler::Enable();
   {
-    ScopedPhaseTimer timer(ProfPhase::kElection);
+    Span span(&registry, ProfPhase::kElection);
     // Some measurable work.
     volatile double sink = 0.0;
     for (int i = 0; i < 10000; ++i) sink = sink + std::sqrt(i);
@@ -177,6 +179,8 @@ TEST(ProfilerTest, ScopedPhaseTimerRecordsOnlyWhenEnabled) {
   EXPECT_EQ(wall.count(), 1u);
   EXPECT_GT(wall.max_seen(), 0.0);
   EXPECT_EQ(Profiler::Global().cpu_us(ProfPhase::kElection).count(), 1u);
+  // The registry histogram saw both spans, profiler on or off.
+  EXPECT_EQ(registry.TakeSnapshot().at("election.wall_us.count"), 2.0);
 }
 
 TEST(ProfilerTest, HotOpAndPhaseNamesAreStable) {

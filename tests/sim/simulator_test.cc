@@ -4,6 +4,9 @@
 
 #include <vector>
 
+#include "obs/topo.h"
+#include "obs/tracer.h"
+
 namespace snapq {
 namespace {
 
@@ -19,6 +22,25 @@ Message DataMsg(NodeId from, double value, NodeId to = kBroadcastId) {
   m.to = to;
   m.value = value;
   return m;
+}
+
+/// The message spans the tracer recorded for transmissions of `type`.
+std::vector<const obs::TraceSpan*> MessageSpans(const obs::Tracer& tracer,
+                                                MessageType type) {
+  std::vector<const obs::TraceSpan*> out;
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    if (span.kind == obs::TraceSpanKind::kMessage && span.msg_type == type) {
+      out.push_back(&span);
+    }
+  }
+  return out;
+}
+
+/// Sends `msg` under a freshly minted (always sampled) trace root.
+void SendTraced(Simulator& sim, const Message& msg) {
+  Simulator::TraceScope scope(
+      sim, sim.MintTraceRoot(obs::TraceRootKind::kQuery, msg.from));
+  sim.Send(msg);
 }
 
 TEST(SimulatorTest, BroadcastReachesNeighborsInRange) {
@@ -175,6 +197,77 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
   EXPECT_EQ(run(9), run(9));
   // Not a hard guarantee, but overwhelmingly likely for 200 Bernoulli draws:
   EXPECT_NE(run(9), run(10));
+}
+
+TEST(SimulatorTraceTest, RecordsSendsDeliveriesAndLosses) {
+  Simulator sim = MakeLine(1.0);
+  obs::Tracer tracer;
+  obs::LinkObserver links(sim.num_nodes());
+  sim.SetTracer(&tracer);
+  sim.SetLinkObserver(&links);
+  sim.mutable_links().SetLinkLoss(1, 2, 1.0);
+  SendTraced(sim, DataMsg(1, 1.0));
+  sim.RunAll();
+
+  // One send, one delivery (to node 0), one loss (to node 2).
+  const auto sends = MessageSpans(tracer, MessageType::kData);
+  ASSERT_EQ(sends.size(), 1u);
+  const std::vector<obs::TraceDelivery>& outcomes = sends[0]->deliveries;
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].node, 2u);
+  EXPECT_EQ(outcomes[0].outcome, RadioEventKind::kLoss);
+  EXPECT_EQ(outcomes[1].node, 0u);
+  EXPECT_EQ(outcomes[1].outcome, RadioEventKind::kDeliver);
+  ASSERT_NE(links.Find(1, 0), nullptr);
+  EXPECT_EQ(links.Find(1, 0)->deliveries, 1u);
+  EXPECT_EQ(links.Find(1, 0)->losses, 0u);
+  ASSERT_NE(links.Find(1, 2), nullptr);
+  EXPECT_EQ(links.Find(1, 2)->deliveries, 0u);
+  EXPECT_EQ(links.Find(1, 2)->losses, 1u);
+}
+
+TEST(SimulatorTraceTest, SnoopedDeliveriesTaggedSeparately) {
+  SimConfig config;
+  config.snoop_probability = 1.0;
+  Simulator sim = MakeLine(5.0, config);
+  obs::Tracer tracer;
+  obs::LinkObserver links(sim.num_nodes());
+  sim.SetTracer(&tracer);
+  sim.SetLinkObserver(&links);
+  Message m = DataMsg(0, 1.0, /*to=*/1);
+  m.type = MessageType::kHeartbeat;
+  SendTraced(sim, m);
+  sim.RunAll();
+
+  const auto sends = MessageSpans(tracer, MessageType::kHeartbeat);
+  ASSERT_EQ(sends.size(), 1u);
+  const std::vector<obs::TraceDelivery>& outcomes = sends[0]->deliveries;
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].node, 1u);
+  EXPECT_EQ(outcomes[0].outcome, RadioEventKind::kDeliver);
+  EXPECT_EQ(outcomes[1].node, 2u);
+  EXPECT_EQ(outcomes[1].outcome, RadioEventKind::kSnoop);
+  ASSERT_NE(links.Find(0, 1), nullptr);
+  EXPECT_EQ(links.Find(0, 1)->deliveries, 1u);
+  ASSERT_NE(links.Find(0, 2), nullptr);
+  EXPECT_EQ(links.Find(0, 2)->deliveries, 0u);
+  EXPECT_EQ(links.Find(0, 2)->snoops, 1u);
+}
+
+TEST(SimulatorTraceTest, DetachStopsRecording) {
+  Simulator sim = MakeLine(1.0);
+  obs::Tracer tracer;
+  sim.SetTracer(&tracer);
+  SendTraced(sim, DataMsg(0, 1.0));
+  sim.SetTracer(nullptr);
+  SendTraced(sim, DataMsg(0, 2.0));
+  sim.RunAll();
+
+  // Only the first send was traced, and its delivery ran after the detach.
+  const auto sends = MessageSpans(tracer, MessageType::kData);
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_TRUE(sends[0]->deliveries.empty());
+  EXPECT_EQ(tracer.num_traces(), 1u);
 }
 
 }  // namespace

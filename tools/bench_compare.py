@@ -29,6 +29,8 @@ import argparse
 import json
 import sys
 
+from sidecar_schema import check_fields, is_number
+
 SCHEMA_VERSION = 1
 
 SUMMARY_FIELDS = {"median": float, "mean": float, "min": float, "max": float,
@@ -40,34 +42,12 @@ TOP_FIELDS = {"schema_version": int, "git_sha": str, "timestamp": str,
               "driver_repetitions": int, "benchmarks": list}
 
 
-def _is_number(value, want):
-    # ints are acceptable where floats are expected (JSON has one number
-    # type); bool is a subclass of int in Python and never acceptable.
-    if isinstance(value, bool):
-        return want is bool
-    if want is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, want)
-
-
-def _check_fields(obj, fields, where, errors):
-    for key, want in fields.items():
-        if key not in obj:
-            errors.append(f"{where}: missing field '{key}'")
-        elif not _is_number(obj[key], want):
-            errors.append(f"{where}: field '{key}' is "
-                          f"{type(obj[key]).__name__}, wanted {want.__name__}")
-    for key in obj:
-        if key not in fields:
-            errors.append(f"{where}: unknown field '{key}'")
-
-
 def validate(report, path, min_benchmarks):
     """Returns a list of schema-violation strings (empty = valid)."""
     errors = []
     if not isinstance(report, dict):
         return [f"{path}: top level is not an object"]
-    _check_fields(report, TOP_FIELDS, path, errors)
+    check_fields(report, TOP_FIELDS, path, errors)
     if report.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"{path}: schema_version "
                       f"{report.get('schema_version')!r} != {SCHEMA_VERSION}")
@@ -81,27 +61,27 @@ def validate(report, path, min_benchmarks):
             if not isinstance(b, dict):
                 errors.append(f"{where}: benchmark entry is not an object")
                 continue
-            _check_fields(b, {"name": str, "wall_ms": dict, "cpu_ms": dict,
-                              "counters": dict, "throughput": dict,
-                              "latency_us": dict, "peak_rss_kb": int},
-                          where, errors)
+            check_fields(b, {"name": str, "wall_ms": dict, "cpu_ms": dict,
+                         "counters": dict, "throughput": dict,
+                         "latency_us": dict, "peak_rss_kb": int},
+                         where, errors)
             for key in ("wall_ms", "cpu_ms"):
                 if isinstance(b.get(key), dict):
-                    _check_fields(b[key], SUMMARY_FIELDS, f"{where}.{key}",
-                                  errors)
+                    check_fields(b[key], SUMMARY_FIELDS, f"{where}.{key}",
+                                 errors)
             for key, value in b.get("counters", {}).items() \
                     if isinstance(b.get("counters"), dict) else []:
-                if not _is_number(value, int):
+                if not is_number(value, int):
                     errors.append(f"{where}.counters.{key}: not an integer")
             for key, value in b.get("throughput", {}).items() \
                     if isinstance(b.get("throughput"), dict) else []:
-                if not _is_number(value, float):
+                if not is_number(value, float):
                     errors.append(f"{where}.throughput.{key}: not a number")
             for key, value in b.get("latency_us", {}).items() \
                     if isinstance(b.get("latency_us"), dict) else []:
                 if isinstance(value, dict):
-                    _check_fields(value, LATENCY_FIELDS,
-                                  f"{where}.latency_us.{key}", errors)
+                    check_fields(value, LATENCY_FIELDS,
+                                 f"{where}.latency_us.{key}", errors)
                 else:
                     errors.append(f"{where}.latency_us.{key}: not an object")
     return errors

@@ -27,6 +27,8 @@ import argparse
 import json
 import sys
 
+from sidecar_schema import check_fields, write_json_verdict
+
 SCHEMA_VERSION = 1
 KIND = "snapq-timeline"
 
@@ -43,32 +45,12 @@ BREACH_FIELDS = {"rule": str, "metric": str, "since": int, "confirmed": int,
                  "observed": float, "threshold": float}
 
 
-def _is_number(value, want):
-    if isinstance(value, bool):
-        return want is bool
-    if want is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, want)
-
-
-def _check_fields(obj, fields, where, errors):
-    for key, want in fields.items():
-        if key not in obj:
-            errors.append(f"{where}: missing field '{key}'")
-        elif not _is_number(obj[key], want):
-            errors.append(f"{where}: field '{key}' is "
-                          f"{type(obj[key]).__name__}, wanted {want.__name__}")
-    for key in obj:
-        if key not in fields:
-            errors.append(f"{where}: unknown field '{key}'")
-
-
 def validate(doc, path, min_series):
     """Returns a list of schema-violation strings (empty = valid)."""
     errors = []
     if not isinstance(doc, dict):
         return [f"{path}: top level is not an object"]
-    _check_fields(doc, TOP_FIELDS, path, errors)
+    check_fields(doc, TOP_FIELDS, path, errors)
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"{path}: schema_version "
                       f"{doc.get('schema_version')!r} != {SCHEMA_VERSION}")
@@ -85,7 +67,7 @@ def validate(doc, path, min_series):
             if not isinstance(s, dict):
                 errors.append(f"{where}: not an object")
                 continue
-            _check_fields(s, SERIES_FIELDS, where, errors)
+            check_fields(s, SERIES_FIELDS, where, errors)
             bins = s.get("bins", [])
             if not isinstance(bins, list):
                 continue
@@ -96,7 +78,7 @@ def validate(doc, path, min_series):
                 if not isinstance(b, dict):
                     errors.append(f"{bwhere}: not an object")
                     continue
-                _check_fields(b, BIN_FIELDS, bwhere, errors)
+                check_fields(b, BIN_FIELDS, bwhere, errors)
                 if isinstance(b.get("count"), int):
                     retained += b["count"]
                 if isinstance(b.get("t0"), int) and isinstance(
@@ -116,7 +98,7 @@ def validate(doc, path, min_series):
 
     slo = doc.get("slo", {})
     if isinstance(slo, dict):
-        _check_fields(slo, SLO_FIELDS, f"{path}:slo", errors)
+        check_fields(slo, SLO_FIELDS, f"{path}:slo", errors)
         if slo.get("verdict") not in ("pass", "breach"):
             errors.append(f"{path}:slo: verdict {slo.get('verdict')!r} "
                           "not 'pass'/'breach'")
@@ -127,8 +109,8 @@ def validate(doc, path, min_series):
         for i, b in enumerate(slo.get("breaches", [])) \
                 if isinstance(slo.get("breaches"), list) else []:
             if isinstance(b, dict):
-                _check_fields(b, BREACH_FIELDS, f"{path}:slo.breaches[{i}]",
-                              errors)
+                check_fields(b, BREACH_FIELDS, f"{path}:slo.breaches[{i}]",
+                             errors)
             else:
                 errors.append(f"{path}:slo.breaches[{i}]: not an object")
         breaches = slo.get("breaches")
@@ -200,15 +182,6 @@ def load(path, min_series):
             print(f"schema error: {e}", file=sys.stderr)
         sys.exit(2)
     return doc
-
-
-def write_json_verdict(dest, payload):
-    text = json.dumps(payload, indent=2) + "\n"
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as f:
-            f.write(text)
 
 
 def main():

@@ -31,6 +31,8 @@ import argparse
 import json
 import sys
 
+from sidecar_schema import check_fields, write_json_verdict
+
 SCHEMA_VERSION = 1
 KIND = "snapq-topo"
 
@@ -52,32 +54,12 @@ LINK_FIELDS = {"from": int, "to": int, "deliveries": int, "snoops": int,
 WEAK_EWMA = 0.5  # render threshold only; the monitor's is configurable
 
 
-def _is_number(value, want):
-    if isinstance(value, bool):
-        return want is bool
-    if want is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, want)
-
-
-def _check_fields(obj, fields, where, errors):
-    for key, want in fields.items():
-        if key not in obj:
-            errors.append(f"{where}: missing field '{key}'")
-        elif not _is_number(obj[key], want):
-            errors.append(f"{where}: field '{key}' is "
-                          f"{type(obj[key]).__name__}, wanted {want.__name__}")
-    for key in obj:
-        if key not in fields:
-            errors.append(f"{where}: unknown field '{key}'")
-
-
 def validate(doc, path):
     """Returns a list of schema-violation strings (empty = valid)."""
     errors = []
     if not isinstance(doc, dict):
         return [f"{path}: top level is not an object"]
-    _check_fields(doc, TOP_FIELDS, path, errors)
+    check_fields(doc, TOP_FIELDS, path, errors)
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(f"{path}: schema_version "
                       f"{doc.get('schema_version')!r} != {SCHEMA_VERSION}")
@@ -86,13 +68,13 @@ def validate(doc, path):
 
     summary = doc.get("summary", {})
     if isinstance(summary, dict):
-        _check_fields(summary, SUMMARY_FIELDS, f"{path}:summary", errors)
+        check_fields(summary, SUMMARY_FIELDS, f"{path}:summary", errors)
 
     for i, c in enumerate(doc.get("clusters", [])
                           if isinstance(doc.get("clusters"), list) else []):
         where = f"{path}:clusters[{i}]"
         if isinstance(c, dict):
-            _check_fields(c, CLUSTER_FIELDS, where, errors)
+            check_fields(c, CLUSTER_FIELDS, where, errors)
         else:
             errors.append(f"{where}: not an object")
 
@@ -128,7 +110,7 @@ def validate(doc, path):
             if not isinstance(n, dict):
                 errors.append(f"{where}: not an object")
                 continue
-            _check_fields(n, NODE_FIELDS, where, errors)
+            check_fields(n, NODE_FIELDS, where, errors)
             if n.get("alive") is True:
                 live += 1
                 if n.get("degree") == 0:
@@ -164,7 +146,7 @@ def validate(doc, path):
                           if isinstance(doc.get("links"), list) else []):
         where = f"{path}:links[{i}]"
         if isinstance(l, dict):
-            _check_fields(l, LINK_FIELDS, where, errors)
+            check_fields(l, LINK_FIELDS, where, errors)
         else:
             errors.append(f"{where}: not an object")
     return errors
@@ -288,15 +270,6 @@ def to_dot(doc):
         out.append(f'  n{u} -- n{v} [penwidth=3, color="#8c8c8c"];')
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def write_json_verdict(dest, payload):
-    text = json.dumps(payload, indent=2) + "\n"
-    if dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as f:
-            f.write(text)
 
 
 def main():
