@@ -4,9 +4,12 @@
 // tree, query execution, parsing).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "api/experiment.h"
+#include "api/network.h"
 #include "model/cache_manager.h"
 #include "net/topology.h"
 #include "obs/journal.h"
@@ -202,6 +205,53 @@ void BM_ObsJournalEmitDisabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsJournalEmitDisabled);
+
+// One SampleTelemetry with every observer attached, on a trained and
+// elected deployment of the given size: range 0.2*sqrt(100/n) (degree
+// ~12.6), 5% loss and snooping, T=0.1, a smooth drifting field. The
+// topology analysis is most of it.
+void BM_SampleTelemetry(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  NetworkConfig config;
+  config.num_nodes = n;
+  config.transmission_range = 0.2 * std::sqrt(100.0 / static_cast<double>(n));
+  config.loss_probability = 0.05;
+  config.snoop_probability = 0.05;
+  config.snapshot.threshold = 0.1;
+  config.seed = 5;
+  SensorNetwork net(config);
+  net.EnableTelemetry();
+  net.EnableEnergyLedger();
+  net.EnableAccuracyAudit();
+  net.EnableTopologyMonitor();
+  obs::TracerConfig tracer;
+  tracer.sampling = 0.05;
+  net.EnableTracing(tracer);
+  std::vector<double> values(n);
+  for (Time t = 0; t < 40; ++t) {
+    net.sim().ScheduleAt(t, [&net, &values, t] {
+      for (NodeId i = 0; i < values.size(); ++i) {
+        const Point& p = net.position(i);
+        values[i] = 40.0 + 20.0 * p.x + 10.0 * p.y +
+                    10.0 * p.x * std::sin(0.13 * static_cast<double>(t));
+      }
+      net.SetMeasurements(values);
+    });
+  }
+  net.ScheduleTrainingBroadcasts(0, 10);
+  net.RunUntil(10);
+  net.RunElection(10);
+  net.RunUntil(39);
+  for (auto _ : state) {
+    net.SampleTelemetry();
+    benchmark::DoNotOptimize(net.topology_monitor()->last().clusters.data());
+  }
+}
+BENCHMARK(BM_SampleTelemetry)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->ArgNames({"nodes"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ParseQuery(benchmark::State& state) {
   const std::string sql =

@@ -180,7 +180,7 @@ obs::AccuracyAuditor& SensorNetwork::EnableAccuracyAudit(
 obs::TopologyMonitor& SensorNetwork::EnableTopologyMonitor(
     const obs::TopologyConfig& config) {
   topo_monitor_ = std::make_unique<obs::TopologyMonitor>(
-      config, agents_.size(), &sim_->registry(), &sim_->journal());
+      config, sim_->links(), &sim_->registry(), &sim_->journal());
   sim_->SetLinkObserver(&topo_monitor_->link_observer());
   TrackObserverSeries();
   return *topo_monitor_;

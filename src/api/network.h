@@ -180,7 +180,9 @@ class SensorNetwork {
   /// telemetry is enabled — before or after this call — the topo/churn
   /// gauges are tracked as time series and the SLO grammar sees them
   /// (`topo.partitions value <= 1 for 20`). A second call replaces the
-  /// monitor (link stats and churn state reset).
+  /// monitor (link stats and churn state reset). With `max_links == 0` the
+  /// link table holds the current deployment's directed edges; set it
+  /// explicitly when nodes will move (obs::TopologyConfig::max_links).
   obs::TopologyMonitor& EnableTopologyMonitor(
       const obs::TopologyConfig& config = {});
   /// The monitor, or nullptr when it was never enabled.

@@ -58,7 +58,7 @@ bool WriteBlackbox(const FlightRecorder* recorder_ring,
   out += ", \"traces\": [";
   if (context.tracer != nullptr) {
     std::vector<uint64_t> ids;
-    const std::vector<TraceSpan>& spans = context.tracer->spans();
+    const auto& spans = context.tracer->spans();
     for (size_t i = spans.size(); i-- > 0 && ids.size() < 16;) {
       const uint64_t id = spans[i].trace_id;
       if (std::find(ids.begin(), ids.end(), id) == ids.end()) {

@@ -43,6 +43,14 @@ LinkObserver::LinkObserver(size_t num_nodes, size_t max_links)
   table_.resize(table_size);
 }
 
+size_t LinkObserver::CapacityFor(const LinkModel& links) {
+  size_t directed_edges = 0;
+  for (NodeId i = 0; i < links.num_nodes(); ++i) {
+    directed_edges += links.Reachable(i).size();
+  }
+  return std::clamp<size_t>(directed_edges, 1, kDefaultMaxLinks);
+}
+
 LinkStats* LinkObserver::Touch(NodeId from, NodeId to, Time now) {
   const uint64_t key =
       static_cast<uint64_t>(from) * static_cast<uint64_t>(num_nodes_) + to;
@@ -290,44 +298,56 @@ TopologySnapshot AnalyzeTopology(const LinkModel& links,
 
   FindCutStructure(adj, snap.alive, &snap.bridges, &snap.articulation);
 
-  // Per-cluster radius and BFS depth. A stamp array avoids re-clearing
-  // the distance buffer per cluster.
+  // Per-cluster size, radius and BFS depth in O(n + E + Σ cluster-local
+  // BFS). One pass tallies each live rep's other members and their
+  // farthest euclidean distance. Each rep's BFS then stops as soon as it
+  // has reached every member: BFS distances are final at discovery, and a
+  // rep hears its members directly, so the search rarely leaves their
+  // neighbourhood. Only a broken cluster (a member the rep cannot reach)
+  // walks its whole component. A stamp array avoids re-clearing the
+  // distance buffer per cluster.
+  const auto heads_cluster = [&](NodeId r) {
+    return snap.alive[r] && is_rep[r];
+  };
+  std::vector<uint32_t> other_members(n, 0);
+  std::vector<double> radius(n, 0.0);
+  for (NodeId j = 0; j < n; ++j) {
+    const NodeId rep = snap.representative[j];
+    if (!snap.alive[j] || rep == j || rep >= n || !heads_cluster(rep)) {
+      continue;
+    }
+    ++other_members[rep];
+    radius[rep] = std::max(
+        radius[rep], Distance(links.position(rep), links.position(j)));
+  }
   std::vector<int64_t> dist(n, -1);
   std::vector<uint32_t> stamp(n, 0);
   uint32_t current_stamp = 0;
   for (NodeId rep = 0; rep < n; ++rep) {
-    if (!snap.alive[rep] || !is_rep[rep]) continue;
+    if (!heads_cluster(rep)) continue;
     ClusterTopoStats stats;
     stats.rep = rep;
+    stats.size = uint64_t{1} + other_members[rep];
+    stats.radius = radius[rep];
+    uint32_t unreached = other_members[rep];
     ++current_stamp;
     dist[rep] = 0;
     stamp[rep] = current_stamp;
     queue.clear();
     queue.push_back(rep);
-    for (size_t head = 0; head < queue.size(); ++head) {
+    for (size_t head = 0; head < queue.size() && unreached > 0; ++head) {
       const NodeId u = queue[head];
       for (NodeId next : adj[u]) {
         if (stamp[next] == current_stamp) continue;
         stamp[next] = current_stamp;
         dist[next] = dist[u] + 1;
         queue.push_back(next);
+        if (snap.representative[next] != rep) continue;
+        stats.depth = std::max(stats.depth, dist[next]);
+        if (--unreached == 0) break;
       }
     }
-    for (NodeId j = 0; j < n; ++j) {
-      if (!snap.alive[j]) continue;
-      const bool member = j == rep || snap.representative[j] == rep;
-      if (!member) continue;
-      ++stats.size;
-      stats.radius = std::max(
-          stats.radius, Distance(links.position(rep), links.position(j)));
-      if (stats.depth >= 0) {
-        if (stamp[j] != current_stamp) {
-          stats.depth = -1;  // a member the rep cannot reach at all
-        } else {
-          stats.depth = std::max(stats.depth, dist[j]);
-        }
-      }
-    }
+    if (unreached > 0) stats.depth = -1;  // a member the rep cannot reach
     snap.clusters.push_back(stats);
   }
   return snap;
@@ -493,15 +513,18 @@ std::vector<std::string> TopoGaugeNames() {
 }  // namespace
 
 TopologyMonitor::TopologyMonitor(const TopologyConfig& config,
-                                 size_t num_nodes, MetricRegistry* registry,
+                                 const LinkModel& links,
+                                 MetricRegistry* registry,
                                  EventJournal* journal)
     : config_(config),
-      observer_(num_nodes, config.max_links),
-      churn_(num_nodes, config.churn_grid, registry),
+      observer_(links.num_nodes(), config.max_links != 0
+                                       ? config.max_links
+                                       : LinkObserver::CapacityFor(links)),
+      churn_(links.num_nodes(), config.churn_grid, registry),
       gauges_(registry, TopoGaugeNames()),
       samples_counter_(registry->GetCounter("topo.samples")),
       journal_(journal) {
-  view_.Resize(num_nodes);
+  view_.Resize(links.num_nodes());
 }
 
 const TopologySnapshot& TopologyMonitor::Sample(const LinkModel& links,

@@ -110,8 +110,16 @@ class LinkObserver {
   explicit LinkObserver(size_t num_nodes, size_t max_links = 0);
 
   /// Auto-capacity cap: beyond this many directed links the tails are
-  /// dropped (64k links ~ 4 MB of table).
+  /// dropped (64k links ~ 6 MB of table).
   static constexpr size_t kDefaultMaxLinks = 65536;
+
+  /// The capacity for a deployment: its directed edge count, capped at
+  /// kDefaultMaxLinks, and never 0. Every record names a link the radio
+  /// can carry (a Reachable(from) entry), so a static deployment never
+  /// exceeds its edge count. A deployment that moves nodes does: each
+  /// move brings links the table has not seen, so pass an explicit
+  /// capacity for it (see TopologyConfig::max_links).
+  static size_t CapacityFor(const LinkModel& links);
 
   // -- Hot path (one probe + a few writes; never allocates) ------------------
 
@@ -288,8 +296,13 @@ class ChurnTracker {
 // TopologyMonitor
 
 struct TopologyConfig {
-  /// Distinct directed links the observer tracks (0 = auto; see
-  /// LinkObserver).
+  /// Distinct directed links the observer tracks. 0 = the deployment's
+  /// directed edge count (LinkObserver::CapacityFor), which holds every
+  /// link of a static deployment. Nodes that move keep adding links
+  /// (about 3 per waypoint step of a quarter range at 1k nodes, without
+  /// bound), and records past the capacity are dropped; a deployment that
+  /// moves nodes sets this explicitly, e.g. to
+  /// LinkObserver::kDefaultMaxLinks.
   size_t max_links = 0;
   /// A link with at least `weak_min_attempts` addressed outcomes and an
   /// EWMA delivery ratio below `weak_threshold` counts as weak.
@@ -305,7 +318,9 @@ struct TopologyConfig {
 /// observer with Simulator::SetLinkObserver(&monitor.link_observer()).
 class TopologyMonitor {
  public:
-  TopologyMonitor(const TopologyConfig& config, size_t num_nodes,
+  /// Sized for `links`: one view slot per node, and the link table from
+  /// the deployment when `config.max_links` is 0.
+  TopologyMonitor(const TopologyConfig& config, const LinkModel& links,
                   MetricRegistry* registry, EventJournal* journal = nullptr);
 
   LinkObserver& link_observer() { return observer_; }

@@ -36,9 +36,7 @@ const char* TraceSpanKindName(TraceSpanKind kind) {
 }
 
 Tracer::Tracer(const TracerConfig& config)
-    : config_(config), rng_(config.seed) {
-  spans_.reserve(std::min<size_t>(config_.max_spans, 1024));
-}
+    : config_(config), rng_(config.seed) {}
 
 TraceContext Tracer::StartTrace(TraceRootKind kind, NodeId node, Time t,
                                 int64_t value, const TraceContext& link) {
@@ -93,7 +91,7 @@ void Tracer::RecordDelivery(const TraceContext& ctx, NodeId node, Time t,
   const auto it = span_index_.find(ctx.span_id);
   if (it == span_index_.end()) return;
   TraceSpan& span = spans_[it->second];
-  span.deliveries.push_back(TraceDelivery{node, t, outcome});
+  span.deliveries.push_back(TraceDelivery{t, node, outcome});
   span.end = std::max(span.end, t);
   ExtendRoot(ctx.trace_id, t);
 }

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -48,12 +49,14 @@ enum class TraceSpanKind {
 
 const char* TraceSpanKindName(TraceSpanKind kind);
 
-/// One receiver-side outcome of a message span.
+/// One receiver-side outcome of a message span. The 8-byte time leads so
+/// the record packs into 16 bytes with no padding.
 struct TraceDelivery {
-  NodeId node = kInvalidNode;
   Time t = 0;
+  NodeId node = kInvalidNode;
   RadioEventKind outcome = RadioEventKind::kDeliver;  // deliver/snoop/loss
 };
+static_assert(sizeof(TraceDelivery) == 16);
 
 /// One recorded span. `value` is a producer-defined scalar attribute:
 /// query roots carry use_snapshot (1/0); "query.respond" instants carry 1
@@ -128,7 +131,10 @@ class Tracer {
   void RecordPhase(const TraceContext& parent, std::string name, Time begin,
                    Time end);
 
-  const std::vector<TraceSpan>& spans() const { return spans_; }
+  /// Recorded spans in recording order. A deque grows block by block, so
+  /// the store never holds a doubling's slack or a copy-on-grow peak, and
+  /// stored spans never move.
+  const std::deque<TraceSpan>& spans() const { return spans_; }
   const TraceSpan* FindSpan(uint64_t span_id) const;
 
   /// Trace ids in minting order.
@@ -159,7 +165,7 @@ class Tracer {
 
   TracerConfig config_;
   Rng rng_;
-  std::vector<TraceSpan> spans_;
+  std::deque<TraceSpan> spans_;
   std::unordered_map<uint64_t, size_t> span_index_;   // span_id -> index
   std::unordered_map<uint64_t, size_t> root_index_;   // trace_id -> index
   uint64_t next_trace_id_ = 1;

@@ -1,8 +1,9 @@
 // End-to-end tests of the topology & churn observatory through the
 // public API: the link observer rides real protocol traffic, a forced
 // partition moves topo.partitions and trips a topology SLO exactly when
-// the network splits, re-election shows up as churn, and the topo series
-// register with telemetry in either enable order.
+// the network splits, re-election shows up as churn, the auto-sized link
+// table holds a static deployment but not a moving one, and the topo
+// series register with telemetry in either enable order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "api/network.h"
+#include "common/geometry.h"
+#include "common/rng.h"
 #include "data/random_walk.h"
 #include "obs/journal.h"
 #include "obs/topo.h"
@@ -108,6 +111,78 @@ TEST(TopoIntegrationTest, LinkObserverRidesProtocolTraffic) {
   EXPECT_EQ(snap.num_live, 10u);
   EXPECT_GT(net.sim().registry().GetGauge("topo.links_observed")->value(),
             0.0);
+}
+
+/// Link-table use after an election and `rounds` maintenance rounds over
+/// 200 nodes, where `moves_per_round` random nodes each take a
+/// quarter-range step toward a random point at the start of each round.
+struct LinkTableUse {
+  size_t directed_edges = 0;
+  size_t capacity = 0;
+  size_t links = 0;
+  uint64_t dropped = 0;
+};
+
+LinkTableUse RunLinkTable(size_t max_links, size_t rounds,
+                          size_t moves_per_round) {
+  NetworkConfig config;
+  config.num_nodes = 200;
+  config.transmission_range = 0.15;
+  config.loss_probability = 0.1;
+  config.snoop_probability = 0.3;
+  config.seed = 11;
+  SensorNetwork net(config);
+  obs::TopologyConfig topo;
+  topo.max_links = max_links;
+  const obs::TopologyMonitor& monitor = net.EnableTopologyMonitor(topo);
+  LinkTableUse use;
+  for (NodeId i = 0; i < net.num_nodes(); ++i) {
+    use.directed_edges += net.sim().links().Reachable(i).size();
+  }
+  use.capacity = monitor.link_observer().capacity();
+
+  net.RunElection(0);
+  const Time first = net.now() + 20;
+  net.ScheduleMaintenance(first, first + static_cast<Time>(rounds) * 20, 20);
+  Rng rng(11);
+  const double step = 0.25 * config.transmission_range;
+  for (size_t r = 0; r < rounds; ++r) {
+    for (size_t k = 0; k < moves_per_round; ++k) {
+      const auto id = static_cast<NodeId>(rng.UniformInt(0, 199));
+      const Point from = net.position(id);
+      const Point to{rng.NextDouble(), rng.NextDouble()};
+      const double dist = Distance(from, to);
+      if (dist <= step) {
+        net.sim().MoveNode(id, to);
+      } else {
+        net.sim().MoveNode(id, {from.x + (to.x - from.x) / dist * step,
+                                from.y + (to.y - from.y) / dist * step});
+      }
+    }
+    net.RunUntil(first + static_cast<Time>(r + 1) * 20);
+  }
+  use.links = monitor.link_observer().num_links();
+  use.dropped = monitor.link_observer().dropped_records();
+  return use;
+}
+
+TEST(TopoIntegrationTest, AutoSizedLinkTableHoldsAStaticDeployment) {
+  const LinkTableUse use = RunLinkTable(0, 100, 0);
+  EXPECT_EQ(use.capacity, use.directed_edges);
+  EXPECT_GT(use.links, use.directed_edges / 2);  // the traffic is real
+  EXPECT_EQ(use.dropped, 0u);
+}
+
+TEST(TopoIntegrationTest, MovingNodesOutgrowTheStaticEdgeBound) {
+  // 1% of the nodes step per round: the links seen grow past the edge
+  // count of any one placement, so the auto-sized table drops records and
+  // a moving deployment passes an explicit capacity instead.
+  const LinkTableUse sized = RunLinkTable(0, 100, 2);
+  EXPECT_GT(sized.dropped, 0u);
+  const LinkTableUse given =
+      RunLinkTable(obs::LinkObserver::kDefaultMaxLinks, 100, 2);
+  EXPECT_GT(given.links, given.directed_edges);
+  EXPECT_EQ(given.dropped, 0u);
 }
 
 TEST(TopoIntegrationTest, ReElectionRegistersAsChurn) {
