@@ -6,7 +6,7 @@
 //   * its standalone binary (`./build/bench/fig06_classes`) via
 //     StandaloneMain — unchanged behavior, sidecars included;
 //   * the unified harness (`./build/bench/snapq_bench --filter fig06`)
-//     which times it, profiles it and emits BENCH.json;
+//     which counts its hot-path work and emits BENCH.json;
 //   * quick CI passes (`--quick` / SNAPQ_REPETITIONS=1) that scale the
 //     repetitions and horizons down by ~10x.
 #ifndef SNAPQ_BENCH_BENCH_REGISTRY_H_

@@ -1,48 +1,14 @@
 #include "bench_report.h"
 
-#include <sys/resource.h>
-
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <numeric>
 
 #include "obs/json.h"
 
 namespace snapq::bench {
 
-namespace {
-
 using obs::JsonEscape;
-using obs::JsonNumber;
-
-void AppendSummary(std::string* out, const char* key, const StatSummary& s) {
-  *out += '"';
-  *out += key;
-  *out += "\":{\"median\":" + JsonNumber(s.median);
-  *out += ",\"mean\":" + JsonNumber(s.mean);
-  *out += ",\"min\":" + JsonNumber(s.min);
-  *out += ",\"max\":" + JsonNumber(s.max);
-  *out += ",\"reps\":" + std::to_string(s.reps) + "}";
-}
-
-}  // namespace
-
-StatSummary StatSummary::FromSamples(std::vector<double> samples) {
-  StatSummary s;
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  const size_t n = samples.size();
-  s.reps = static_cast<int>(n);
-  s.min = samples.front();
-  s.max = samples.back();
-  s.mean = std::accumulate(samples.begin(), samples.end(), 0.0) /
-           static_cast<double>(n);
-  s.median = (n % 2 == 1) ? samples[n / 2]
-                          : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-  return s;
-}
 
 std::string BenchReport::ToJson() const {
   std::string out = "{";
@@ -50,45 +16,20 @@ std::string BenchReport::ToJson() const {
   out += ",\"git_sha\":\"" + JsonEscape(git_sha) + "\"";
   out += ",\"timestamp\":\"" + JsonEscape(timestamp) + "\"";
   out += std::string(",\"quick\":") + (quick ? "true" : "false");
-  out += ",\"harness_repetitions\":" + std::to_string(harness_repetitions);
   out += ",\"driver_repetitions\":" + std::to_string(driver_repetitions);
   out += ",\"benchmarks\":[";
   bool first_bench = true;
   for (const BenchmarkResult& b : benchmarks) {
     if (!first_bench) out += ',';
     first_bench = false;
-    out += "{\"name\":\"" + JsonEscape(b.name) + "\",";
-    AppendSummary(&out, "wall_ms", b.wall_ms);
-    out += ',';
-    AppendSummary(&out, "cpu_ms", b.cpu_ms);
-    out += ",\"counters\":{";
+    out += "{\"name\":\"" + JsonEscape(b.name) + "\",\"counters\":{";
     bool first = true;
     for (const auto& [key, value] : b.counters) {
       if (!first) out += ',';
       first = false;
       out += "\"" + JsonEscape(key) + "\":" + std::to_string(value);
     }
-    out += "},\"throughput\":{";
-    first = true;
-    for (const auto& [key, value] : b.throughput) {
-      if (!first) out += ',';
-      first = false;
-      out += "\"" + JsonEscape(key) + "\":" + JsonNumber(value);
-    }
-    out += "},\"latency_us\":{";
-    first = true;
-    for (const PhaseLatency& p : b.latency_us) {
-      if (!first) out += ',';
-      first = false;
-      out += "\"" + JsonEscape(p.phase) + "\":{";
-      out += "\"count\":" + std::to_string(p.count);
-      out += ",\"p50\":" + JsonNumber(p.p50);
-      out += ",\"p95\":" + JsonNumber(p.p95);
-      out += ",\"p99\":" + JsonNumber(p.p99);
-      out += ",\"max\":" + JsonNumber(p.max);
-      out += "}";
-    }
-    out += "},\"peak_rss_kb\":" + std::to_string(b.peak_rss_kb) + "}";
+    out += "}}";
   }
   out += "]}";
   return out;
@@ -120,12 +61,6 @@ std::string IsoTimestamp() {
   char buf[32] = {};
   std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &utc);
   return buf;
-}
-
-int64_t PeakRssKb() {
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  return static_cast<int64_t>(usage.ru_maxrss);  // kilobytes on Linux
 }
 
 }  // namespace snapq::bench

@@ -2,7 +2,8 @@
 // BenchReport per run; ToJson() emits the canonical document that
 // tools/bench_compare.py diffs across commits, so its field names and
 // types are a frozen schema (DESIGN.md §10; the golden test in
-// tests/bench/bench_report_test.cc pins it).
+// tests/bench/bench_report_test.cc pins it). It holds counters only: time
+// and memory are perfbench's to measure.
 #ifndef SNAPQ_BENCH_BENCH_REPORT_H_
 #define SNAPQ_BENCH_BENCH_REPORT_H_
 
@@ -13,54 +14,21 @@
 
 namespace snapq::bench {
 
-inline constexpr int kBenchSchemaVersion = 1;
+inline constexpr int kBenchSchemaVersion = 2;
 
-/// Outlier-aware aggregate over the harness repetitions of one benchmark.
-/// The median is the headline value (robust to a cold-cache or
-/// descheduled repetition); mean/min/max document the spread so a
-/// regression diff can tell noise from drift.
-struct StatSummary {
-  double median = 0.0;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  int reps = 0;
-
-  static StatSummary FromSamples(std::vector<double> samples);
-};
-
-/// One profiler phase's wall-latency distribution, merged across the
-/// harness repetitions.
-struct PhaseLatency {
-  std::string phase;
-  uint64_t count = 0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
+/// One benchmark's hot-op totals. The drivers are seeded, so these counts
+/// are a function of the code and the options alone: two runs of one tree
+/// agree exactly, whatever the host or --jobs.
 struct BenchmarkResult {
   std::string name;
-  StatSummary wall_ms;
-  StatSummary cpu_ms;
-  /// Hot-op totals from one repetition (the drivers are seeded, so every
-  /// repetition counts the same work).
   std::vector<std::pair<std::string, uint64_t>> counters;
-  /// counter / median wall seconds, keyed "<op>_per_sec".
-  std::vector<std::pair<std::string, double>> throughput;
-  std::vector<PhaseLatency> latency_us;
-  /// Peak resident set after this benchmark ran (monotone across the
-  /// process, so per-benchmark values only ever grow).
-  int64_t peak_rss_kb = 0;
 };
 
 struct BenchReport {
   std::string git_sha;
   std::string timestamp;  // ISO-8601 UTC, e.g. "2026-02-03T04:05:06Z"
   bool quick = false;
-  int harness_repetitions = 0;  // timed runs per benchmark
-  int driver_repetitions = 0;   // seeds per data point inside a driver
+  int driver_repetitions = 0;  // seeds per data point inside a driver
   std::vector<BenchmarkResult> benchmarks;
 
   std::string ToJson() const;
@@ -72,9 +40,6 @@ std::string GitSha();
 
 /// Current UTC time in the timestamp format above.
 std::string IsoTimestamp();
-
-/// Peak resident set size of this process, in kilobytes (getrusage).
-int64_t PeakRssKb();
 
 }  // namespace snapq::bench
 

@@ -3,10 +3,8 @@
 // adjacency. Density is held constant as n grows (the paper's 0.2 range
 // on 100 nodes, scaled by sqrt(100/n), keeps the expected degree at
 // ~12.6), so the adjacency build is O(n * k) and the per-round protocol
-// work is O(n); the three BENCH.json entries — wall/RSS plus the
-// `network_build` phase latency — document the sub-quadratic scaling
-// (the brute-force O(n^2) build would make 100k nodes ~100x more
-// expensive per node than 10k instead of ~1x).
+// work is O(n) (the brute-force O(n^2) build would make 100k nodes ~100x
+// more expensive per node than 10k instead of ~1x).
 //
 // The workload mirrors Figure 14: train models, elect representatives,
 // then run maintenance rounds over a smoothly drifting spatially
@@ -25,8 +23,6 @@
 #include "bench_util.h"
 #include "common/table_printer.h"
 #include "exec/parallel_sweep.h"
-#include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace snapq::bench {
 namespace {
@@ -53,11 +49,7 @@ TierRun RunTier(size_t n, uint64_t seed, int num_rounds) {
   config.snapshot.threshold = 0.1;
   config.seed = seed;
 
-  std::unique_ptr<SensorNetwork> net;
-  {
-    obs::Span build_span(nullptr, obs::ProfPhase::kNetworkBuild);
-    net = std::make_unique<SensorNetwork>(config);
-  }
+  auto net = std::make_unique<SensorNetwork>(config);
 
   TierRun run;
   const LinkModel& links = net->sim().links();

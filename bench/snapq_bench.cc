@@ -1,5 +1,5 @@
 // The unified benchmark harness: every experiment driver registered via
-// SNAPQ_BENCHMARK in one binary, timed under the hot-path profiler, with
+// SNAPQ_BENCHMARK in one binary, counted by the hot-path profiler, with
 // results written to the canonical BENCH.json (bench_report.h). Typical
 // uses:
 //
@@ -8,16 +8,13 @@
 //   snapq_bench --out BENCH.json         # full run for the trajectory
 //   tools/bench_compare.py old.json new.json
 //
-// Each benchmark runs `--reps` times (default 3, 1 in quick mode) after
-// one discarded warmup; the median repetition is the headline number so a
-// cold cache or a descheduled run cannot fake a regression. Driver stdout
-// (the paper tables) is routed to /dev/null unless --verbose, so the
-// harness output stays a readable progress log.
+// Each benchmark runs once: the drivers are seeded, so a second run would
+// count the same work. Time and memory are perfbench's to measure. Driver
+// stdout (the paper tables) is routed to /dev/null unless --verbose, so
+// the harness output stays a readable progress log.
 #include <fcntl.h>
-#include <time.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,9 +36,7 @@ struct Options {
   bool list = false;
   bool quick = false;
   bool verbose = false;
-  bool warmup = true;
   bool sidecars = false;
-  int harness_reps = 0;  // 0 = default (3, or 1 when quick)
   int jobs = 0;          // 0 = SNAPQ_JOBS / hardware concurrency
   std::string out = "BENCH.json";
   std::vector<std::string> filters;
@@ -53,25 +48,15 @@ int Usage(const char* argv0, int code) {
       "  --list            list registered benchmarks and exit\n"
       "  --filter SUBSTR   run only benchmarks whose name contains SUBSTR\n"
       "                    (repeatable; any match selects)\n"
-      "  --quick           ~10x less work per benchmark, 1 harness rep\n"
-      "  --reps N          timed repetitions per benchmark (default 3;\n"
-      "                    1 with --quick)\n"
+      "  --quick           ~10x less work per benchmark\n"
       "  --jobs N          worker threads for per-seed trial loops\n"
       "                    (default: SNAPQ_JOBS or hardware concurrency;\n"
       "                    results are bit-identical for any N)\n"
       "  --out FILE        where to write BENCH.json (default BENCH.json)\n"
       "  --sidecars        let drivers write their .metrics/.trace sidecars\n"
-      "  --verbose         do not silence driver stdout\n"
-      "  --no-warmup       skip the discarded warmup repetition\n",
+      "  --verbose         do not silence driver stdout\n",
       argv0);
   return code;
-}
-
-double ProcessCpuMicros() {
-  timespec ts{};
-  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) return 0.0;
-  return static_cast<double>(ts.tv_sec) * 1e6 +
-         static_cast<double>(ts.tv_nsec) / 1e3;
 }
 
 /// Redirects fd 1 to /dev/null for the lifetime of the object. Works below
@@ -129,7 +114,7 @@ bool Selected(const BenchInfo& info, const Options& opt) {
 }
 
 BenchmarkResult RunOne(const BenchInfo& info, const Options& opt,
-                       int harness_reps, int driver_reps, int* verdict) {
+                       int driver_reps, int* verdict) {
   RunContext ctx;
   ctx.name = info.name;
   ctx.argv0.clear();  // sidecars (if any) labeled by benchmark name
@@ -139,78 +124,25 @@ BenchmarkResult RunOne(const BenchInfo& info, const Options& opt,
   ctx.jobs = exec::ResolveJobs(opt.jobs);
 
   using obs::HotOp;
-  using obs::LogHistogram;
-  using obs::ProfPhase;
   using obs::Profiler;
-
-  auto run_once = [&]() {
-    if (opt.verbose) {
-      info.fn(ctx);
-    } else {
-      StdoutSilencer quiet;
-      info.fn(ctx);
-    }
-  };
-
-  if (opt.warmup) {
-    obs::GlobalMetrics().Reset();
-    run_once();
+  obs::GlobalMetrics().Reset();
+  Profiler::Global().Reset();
+  Profiler::Enable();
+  if (opt.verbose) {
+    info.fn(ctx);
+  } else {
+    StdoutSilencer quiet;
+    info.fn(ctx);
   }
-
-  std::vector<double> wall_ms, cpu_ms;
-  std::array<uint64_t, obs::kNumHotOps> counters{};
-  std::array<LogHistogram, obs::kNumProfPhases> merged_wall{};
-  for (int rep = 0; rep < harness_reps; ++rep) {
-    obs::GlobalMetrics().Reset();
-    Profiler::Global().Reset();
-    Profiler::Enable();
-    const auto wall_start = std::chrono::steady_clock::now();
-    const double cpu_start = ProcessCpuMicros();
-    run_once();
-    const double cpu_end = ProcessCpuMicros();
-    const auto wall_end = std::chrono::steady_clock::now();
-    Profiler::Disable();
-
-    wall_ms.push_back(
-        std::chrono::duration<double, std::milli>(wall_end - wall_start)
-            .count());
-    cpu_ms.push_back((cpu_end - cpu_start) / 1e3);
-    // The drivers are fully seeded, so hot-op counts are identical across
-    // repetitions; keeping the last is keeping all of them.
-    for (size_t op = 0; op < obs::kNumHotOps; ++op) {
-      counters[op] = Profiler::Global().count(static_cast<HotOp>(op));
-    }
-    for (size_t ph = 0; ph < obs::kNumProfPhases; ++ph) {
-      merged_wall[ph].MergeFrom(
-          Profiler::Global().wall_us(static_cast<ProfPhase>(ph)));
-    }
-  }
+  Profiler::Disable();
 
   BenchmarkResult result;
   result.name = info.name;
-  result.wall_ms = StatSummary::FromSamples(wall_ms);
-  result.cpu_ms = StatSummary::FromSamples(cpu_ms);
-  const double median_sec = result.wall_ms.median / 1e3;
   for (size_t op = 0; op < obs::kNumHotOps; ++op) {
-    const char* name = obs::HotOpName(static_cast<HotOp>(op));
-    result.counters.emplace_back(name, counters[op]);
-    result.throughput.emplace_back(
-        std::string(name) + "_per_sec",
-        median_sec > 0.0 ? static_cast<double>(counters[op]) / median_sec
-                         : 0.0);
+    const HotOp hot = static_cast<HotOp>(op);
+    result.counters.emplace_back(obs::HotOpName(hot),
+                                 Profiler::Global().count(hot));
   }
-  for (size_t ph = 0; ph < obs::kNumProfPhases; ++ph) {
-    const LogHistogram& h = merged_wall[ph];
-    PhaseLatency lat;
-    lat.phase = obs::ProfPhaseName(static_cast<ProfPhase>(ph));
-    lat.count = h.count();
-    lat.p50 = h.Percentile(50);
-    lat.p95 = h.Percentile(95);
-    lat.p99 = h.Percentile(99);
-    lat.max = h.max_seen();
-    result.latency_us.push_back(std::move(lat));
-  }
-  result.peak_rss_kb = PeakRssKb();
   *verdict = ctx.exit_code;
   return result;
 }
@@ -232,18 +164,10 @@ int Main(int argc, char** argv) {
       opt.quick = true;
     } else if (arg == "--verbose") {
       opt.verbose = true;
-    } else if (arg == "--no-warmup") {
-      opt.warmup = false;
     } else if (arg == "--sidecars") {
       opt.sidecars = true;
     } else if (arg == "--filter") {
       opt.filters.emplace_back(value("--filter"));
-    } else if (arg == "--reps") {
-      opt.harness_reps = std::atoi(value("--reps"));
-      if (opt.harness_reps <= 0) {
-        std::fprintf(stderr, "--reps wants a positive integer\n");
-        return 2;
-      }
     } else if (arg == "--jobs") {
       opt.jobs = std::atoi(value("--jobs"));
       if (opt.jobs <= 0) {
@@ -279,20 +203,16 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  const int harness_reps =
-      opt.harness_reps > 0 ? opt.harness_reps : (opt.quick ? 1 : 3);
   const int driver_reps = opt.quick ? 1 : Repetitions();
 
   BenchReport report;
   report.git_sha = GitSha();
   report.timestamp = IsoTimestamp();
   report.quick = opt.quick;
-  report.harness_repetitions = harness_reps;
   report.driver_repetitions = driver_reps;
 
-  std::printf("running %zu benchmark(s), %d timed rep(s) each, %d job(s)%s\n",
-              selected.size(), harness_reps, exec::ResolveJobs(opt.jobs),
-              opt.quick ? " (quick)" : "");
+  std::printf("running %zu benchmark(s), %d job(s)%s\n", selected.size(),
+              exec::ResolveJobs(opt.jobs), opt.quick ? " (quick)" : "");
   int index = 0;
   std::vector<std::string> unhealthy;
   for (const BenchInfo* info : selected) {
@@ -300,13 +220,9 @@ int Main(int argc, char** argv) {
     std::printf("[%2d/%zu] %-32s ", index, selected.size(), info->name);
     std::fflush(stdout);
     int verdict = 0;
-    BenchmarkResult r =
-        RunOne(*info, opt, harness_reps, driver_reps, &verdict);
-    std::printf("wall %.1f ms  cpu %.1f ms  rss %lld KB%s\n", r.wall_ms.median,
-                r.cpu_ms.median, static_cast<long long>(r.peak_rss_kb),
-                verdict != 0 ? "  [UNHEALTHY]" : "");
+    report.benchmarks.push_back(RunOne(*info, opt, driver_reps, &verdict));
+    std::printf("%s\n", verdict != 0 ? "UNHEALTHY" : "ok");
     if (verdict != 0) unhealthy.push_back(info->name);
-    report.benchmarks.push_back(std::move(r));
   }
 
   std::ofstream out(opt.out);

@@ -93,7 +93,7 @@ void PrintHelp() {
       "  \\trace [id]           list recorded causal traces, or show one\n"
       "                        trace's report with invariant verdicts\n"
       "  \\profile              hot-path profile since startup: operation\n"
-      "                        counts/rates and phase latency percentiles\n"
+      "                        counts and rates per second\n"
       "  \\help                 this text\n"
       "  \\quit                 exit\n");
 }

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/table_printer.h"
-#include "obs/metric_registry.h"
 
 namespace snapq::obs {
 
@@ -115,22 +114,6 @@ const char* HotOpName(HotOp op) {
   return "unknown";
 }
 
-const char* ProfPhaseName(ProfPhase phase) {
-  switch (phase) {
-    case ProfPhase::kElection:
-      return "election";
-    case ProfPhase::kMaintenanceRound:
-      return "maintenance_round";
-    case ProfPhase::kQueryExecution:
-      return "query_execution";
-    case ProfPhase::kNetworkBuild:
-      return "network_build";
-    case ProfPhase::kCount:
-      break;
-  }
-  return "unknown";
-}
-
 Profiler& Profiler::Global() {
   static Profiler instance;
   return instance;
@@ -152,9 +135,6 @@ void Profiler::Reset() {
   for (std::atomic<uint64_t>& c : counters_) {
     c.store(0, std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(phase_mutex_);
-  for (LogHistogram& h : wall_us_) h.Reset();
-  for (LogHistogram& h : cpu_us_) h.Reset();
   epoch_ = std::chrono::steady_clock::now();
 }
 
@@ -170,43 +150,7 @@ std::string Profiler::ToTable() const {
                      TablePrinter::Num(Rate(op), 1)});
   }
   counters.Print(out);
-  out << "\nphase latencies (wall microseconds):\n";
-  TablePrinter phases(
-      {"phase", "count", "p50", "p95", "p99", "max", "cpu p50"});
-  for (size_t i = 0; i < kNumProfPhases; ++i) {
-    const ProfPhase phase = static_cast<ProfPhase>(i);
-    const LogHistogram& wall = wall_us(phase);
-    const LogHistogram& cpu = cpu_us(phase);
-    phases.AddRow({ProfPhaseName(phase), std::to_string(wall.count()),
-                   TablePrinter::Num(wall.Percentile(50), 1),
-                   TablePrinter::Num(wall.Percentile(95), 1),
-                   TablePrinter::Num(wall.Percentile(99), 1),
-                   TablePrinter::Num(wall.max_seen(), 1),
-                   TablePrinter::Num(cpu.Percentile(50), 1)});
-  }
-  phases.Print(out);
   return out.str();
-}
-
-void Profiler::ExportTo(MetricRegistry* registry) const {
-  if (registry == nullptr) return;
-  for (size_t i = 0; i < kNumHotOps; ++i) {
-    const HotOp op = static_cast<HotOp>(i);
-    registry->GetCounter(std::string("profiler.") + HotOpName(op))
-        ->Inc(count(op));
-  }
-  for (size_t i = 0; i < kNumProfPhases; ++i) {
-    const ProfPhase phase = static_cast<ProfPhase>(i);
-    const std::string base =
-        std::string("profiler.") + ProfPhaseName(phase) + ".wall_us.";
-    const LogHistogram& wall = wall_us(phase);
-    registry->GetGauge(base + "count")
-        ->Set(static_cast<double>(wall.count()));
-    registry->GetGauge(base + "p50")->Set(wall.Percentile(50));
-    registry->GetGauge(base + "p95")->Set(wall.Percentile(95));
-    registry->GetGauge(base + "p99")->Set(wall.Percentile(99));
-    registry->GetGauge(base + "max")->Set(wall.max_seen());
-  }
 }
 
 }  // namespace snapq::obs

@@ -1,24 +1,23 @@
-// The hot-path profiler: log-bucketed latency histograms with fixed
-// memory (fed by obs::Span's CPU+wall phase timing) and operation
-// counters for the rates the ROADMAP's perf work cares about (messages
-// simulated/sec, model fits/sec, election rounds/sec). Complements the
+// The hot-path profiler: operation counters for the rates the ROADMAP's
+// perf work cares about (messages simulated/sec, model fits/sec, election
+// rounds/sec), plus LogHistogram, the fixed-memory log-bucketed histogram
+// the accuracy auditor and the topology monitor build on. Complements the
 // MetricRegistry the same way a sampling profiler complements accounting
 // ledgers:
 //
 //  * the registry is per-simulation and answers "how many protocol
 //    messages did this trial send" — experiment semantics;
-//  * the profiler is process-wide and answers "how fast does the
-//    simulator itself run" — engine performance, fed into BENCH.json by
-//    the snapq_bench harness.
+//  * the profiler is process-wide and counts the work the simulator
+//    itself does — fed into BENCH.json by the snapq_bench harness and
+//    into perfbench's traced runs.
 //
 // Design constraints, in order:
 //  * disabled cost: instrumentation sites call Profiler::Active(), a
 //    single relaxed pointer load; when no profiler is enabled that is the
-//    entire cost — no allocation, no lock, no histogram touch (enforced
-//    by the allocation-counting test, like the tracer's);
-//  * enabled cost: counters are fixed arrays indexed by enum (one add),
-//    histograms are fixed arrays bucketed with frexp (no log call, no
-//    sorting, no allocation ever after construction);
+//    entire cost — no allocation, no lock (enforced by the
+//    allocation-counting test, like the tracer's);
+//  * enabled cost: counters are a fixed array indexed by enum (one add,
+//    no allocation ever after construction);
 //  * fixed memory: a LogHistogram is ~1.7 KB regardless of how many
 //    observations it absorbs (quantile-sketch style: Medians and Beyond /
 //    HDR histogram lineage).
@@ -28,10 +27,7 @@
 // that worker threads hit concurrently during a --jobs N sweep. Counters
 // are relaxed atomics (a relaxed fetch_add is as cheap as the plain add
 // was on x86/ARM, and the final counts are exact regardless of
-// interleaving); RecordPhase takes a mutex, which is fine because phases
-// fire at most a few thousand times per experiment. Enable/Disable flip
-// an atomic pointer. Readers (ToTable/ExportTo) are only called after
-// workers join, so histogram reads need no lock.
+// interleaving). Enable/Disable flip an atomic pointer.
 #ifndef SNAPQ_OBS_PROFILER_H_
 #define SNAPQ_OBS_PROFILER_H_
 
@@ -39,12 +35,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 namespace snapq::obs {
-
-class MetricRegistry;
 
 /// Log-bucketed histogram with exact count/sum/min/max and percentile
 /// estimates accurate to one bucket (buckets grow by 2^(1/4) ~ 19%, so a
@@ -120,23 +113,8 @@ enum class HotOp : uint8_t {
   kCount
 };
 constexpr size_t kNumHotOps = static_cast<size_t>(HotOp::kCount);
-/// Stable snake_case name ("messages_sent"), used in BENCH.json and the
-/// registry export.
+/// Stable snake_case name ("messages_sent"), the BENCH.json counter key.
 const char* HotOpName(HotOp op);
-
-/// Coarse phases timed by obs::Span (obs/span.h), which feeds the wall and
-/// thread-CPU histograms below. Kept to phases that run at most a few
-/// thousand times per experiment so the two clock reads per side stay
-/// invisible.
-enum class ProfPhase : uint8_t {
-  kElection = 0,
-  kMaintenanceRound,
-  kQueryExecution,
-  kNetworkBuild,  ///< deployment wiring incl. the link-model/index build
-  kCount
-};
-constexpr size_t kNumProfPhases = static_cast<size_t>(ProfPhase::kCount);
-const char* ProfPhaseName(ProfPhase phase);
 
 class Profiler {
  public:
@@ -148,11 +126,10 @@ class Profiler {
   /// only call instrumentation sites make on the fast path.
   static Profiler* Active() { return active_.load(std::memory_order_relaxed); }
   /// The process-wide instance Enable() installs (exists even while
-  /// disabled, so exporters and the shell can read the last session).
+  /// disabled, so the shell and the harness can read the last session).
   static Profiler& Global();
   static void Enable() { active_.store(&Global(), std::memory_order_relaxed); }
   static void Disable() { active_.store(nullptr, std::memory_order_relaxed); }
-  static bool enabled() { return Active() != nullptr; }
 
   void Count(HotOp op, uint64_t delta = 1) {
     counters_[static_cast<size_t>(op)].fetch_add(delta,
@@ -162,41 +139,21 @@ class Profiler {
     return counters_[static_cast<size_t>(op)].load(std::memory_order_relaxed);
   }
 
-  void RecordPhase(ProfPhase phase, double wall_us, double cpu_us) {
-    std::lock_guard<std::mutex> lock(phase_mutex_);
-    wall_us_[static_cast<size_t>(phase)].Observe(wall_us);
-    cpu_us_[static_cast<size_t>(phase)].Observe(cpu_us);
-  }
-  const LogHistogram& wall_us(ProfPhase phase) const {
-    return wall_us_[static_cast<size_t>(phase)];
-  }
-  const LogHistogram& cpu_us(ProfPhase phase) const {
-    return cpu_us_[static_cast<size_t>(phase)];
-  }
-
   /// Wall seconds since the last Reset() — the denominator for rates.
   double ElapsedSeconds() const;
   /// count(op) / ElapsedSeconds() (0 before any time has passed).
   double Rate(HotOp op) const;
 
-  /// Zeroes counters and histograms and restarts the rate epoch.
+  /// Zeroes the counters and restarts the rate epoch.
   void Reset();
 
-  /// Human-readable counter + phase-latency tables (the shell's \profile).
+  /// Human-readable counter table with rates (the shell's \profile).
   std::string ToTable() const;
-
-  /// Folds the profile into a registry: counters as
-  /// "profiler.<op>" counters, phase percentiles as
-  /// "profiler.<phase>.wall_us.p50" (p95/p99/max/count) gauges.
-  void ExportTo(MetricRegistry* registry) const;
 
  private:
   static std::atomic<Profiler*> active_;
 
   std::array<std::atomic<uint64_t>, kNumHotOps> counters_{};
-  mutable std::mutex phase_mutex_;
-  std::array<LogHistogram, kNumProfPhases> wall_us_{};
-  std::array<LogHistogram, kNumProfPhases> cpu_us_{};
   std::chrono::steady_clock::time_point epoch_{};
 };
 

@@ -1,24 +1,20 @@
 // The phase timer. A Span measures one occurrence of a ProfPhase (an
-// election round, a maintenance tick, a query execution, a network build)
-// and, when it ends, feeds every sink from one wall-clock reading:
+// election round, a maintenance tick, a query execution) and, when it
+// ends, feeds both sinks from one wall-clock reading:
 //
 //   {
-//     obs::Span span(&sim.registry(), obs::ProfPhase::kElection);
+//     obs::Span span(sim.registry(), obs::ProfPhase::kElection);
 //     span.BeginSim(sim.now());
 //     ... run the phase ...
 //     span.EndSim(sim.now());
 //   }  // records "election.wall_us" and "election.sim_ticks"
 //
-//  * the registry (when non-null): "<name>.wall_us" always, and
-//    "<name>.sim_ticks" when both BeginSim and EndSim were called
-//    (simulated phases advance the event queue, wall-only phases do not);
-//  * the tracer (AttachTrace): a kPhase trace span named <name>;
-//  * the profiler (when Profiler::Active() at construction): the phase's
-//    wall and thread-CPU LogHistograms. A null registry still feeds it.
+//  * the registry: "<name>.wall_us" always, and "<name>.sim_ticks" when
+//    both BeginSim and EndSim were called (simulated phases advance the
+//    event queue, wall-only phases do not);
+//  * the tracer (AttachTrace): a kPhase trace span named <name>.
 //
-// <name> is Span::Name(phase). The thread-CPU clock is read only while the
-// profiler is active; with neither a registry nor a profiler no clock is
-// read at all.
+// <name> is Span::Name(phase).
 #ifndef SNAPQ_OBS_SPAN_H_
 #define SNAPQ_OBS_SPAN_H_
 
@@ -28,16 +24,24 @@
 
 #include "net/trace_context.h"
 #include "obs/metric_registry.h"
-#include "obs/profiler.h"
 
 namespace snapq::obs {
 
 class Tracer;
 
+/// The protocol phases a Span times. Kept to phases that run at most a few
+/// thousand times per experiment so the two clock reads stay invisible.
+enum class ProfPhase : uint8_t {
+  kElection = 0,
+  kMaintenanceRound,
+  kQueryExecution,
+  kCount
+};
+
 class Span {
  public:
-  /// Starts the clocks immediately. `registry` may be null.
-  Span(MetricRegistry* registry, ProfPhase phase);
+  /// Starts the wall clock immediately.
+  Span(MetricRegistry& registry, ProfPhase phase);
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -58,8 +62,8 @@ class Span {
   ~Span() { End(); }
 
   /// The registry/trace name of `phase` ("election", "maintenance.tick",
-  /// "query.execute", "network_build"): the prefix of its histograms and
-  /// the name of its kPhase trace span.
+  /// "query.execute"): the prefix of its histograms and the name of its
+  /// kPhase trace span.
   static const char* Name(ProfPhase phase);
 
   /// Default bucket bounds (exposed so tests and dashboards agree).
@@ -67,13 +71,11 @@ class Span {
   static const std::vector<double>& SimTicksBounds();
 
  private:
-  MetricRegistry* registry_;
-  Profiler* profiler_;
+  MetricRegistry& registry_;
   ProfPhase phase_;
   Tracer* tracer_ = nullptr;
   TraceContext trace_ctx_{};
-  std::chrono::steady_clock::time_point wall_start_{};
-  double cpu_start_us_ = 0.0;
+  std::chrono::steady_clock::time_point wall_start_;
   int64_t sim_start_ = 0;
   int64_t sim_end_ = 0;
   bool sim_start_set_ = false;

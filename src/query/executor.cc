@@ -99,7 +99,7 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   const size_t n = agents_->size();
   SNAPQ_CHECK_LT(options.sink, n);
   obs::ProfCount(obs::HotOp::kQueriesExecuted);
-  obs::Span span(&sim_->registry(), obs::ProfPhase::kQueryExecution);
+  obs::Span span(sim_->registry(), obs::ProfPhase::kQueryExecution);
   // Root cause: the injected query. `value` records the USE SNAPSHOT flag
   // so the analyzer knows which invariant applies.
   const TraceContext qroot = sim_->MintTraceRoot(

@@ -55,7 +55,7 @@ void MaintenanceDriver::RunRound(Time round_start, Time /*horizon*/,
   const TraceContext round_ctx =
       sim_->MintTraceRoot(obs::TraceRootKind::kHeartbeatRound, kInvalidNode);
   {
-    obs::Span tick_span(&sim_->registry(), obs::ProfPhase::kMaintenanceRound);
+    obs::Span tick_span(sim_->registry(), obs::ProfPhase::kMaintenanceRound);
     tick_span.AttachTrace(sim_->tracer(), round_ctx);
     tick_span.BeginSim(round_start);
     Simulator::TraceScope scope(*sim_, round_ctx);

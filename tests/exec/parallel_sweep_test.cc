@@ -169,8 +169,7 @@ SweepOutput RunSweep(int jobs) {
   // (protocol counters, per-node message gauges, cache stats) is covered
   // by the bit-identity contract.
   for (auto it = out.metrics.begin(); it != out.metrics.end();) {
-    if (it->first.find(".wall_us.") != std::string::npos ||
-        it->first.find(".cpu_us.") != std::string::npos) {
+    if (it->first.find(".wall_us.") != std::string::npos) {
       it = out.metrics.erase(it);
     } else {
       ++it;

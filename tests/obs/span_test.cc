@@ -9,23 +9,18 @@ namespace snapq::obs {
 namespace {
 
 TEST(ObsSpanTest, RecordsWallTimeOnDestruction) {
-  // The registry is written with the profiler off, which stays untouched.
-  Profiler::Disable();
-  Profiler::Global().Reset();
   MetricRegistry reg;
-  { Span span(&reg, ProfPhase::kQueryExecution); }
+  { Span span(reg, ProfPhase::kQueryExecution); }
   const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
   EXPECT_EQ(snap.at("query.execute.wall_us.count"), 1.0);
   // No sim marks -> no sim-ticks histogram.
   EXPECT_EQ(snap.count("query.execute.sim_ticks.count"), 0u);
-  EXPECT_EQ(Profiler::Global().wall_us(ProfPhase::kQueryExecution).count(),
-            0u);
 }
 
 TEST(ObsSpanTest, RecordsSimTicksWhenBothMarksSet) {
   MetricRegistry reg;
   {
-    Span span(&reg, ProfPhase::kElection);
+    Span span(reg, ProfPhase::kElection);
     span.BeginSim(100);
     span.EndSim(142);
   }
@@ -36,7 +31,7 @@ TEST(ObsSpanTest, RecordsSimTicksWhenBothMarksSet) {
 
 TEST(ObsSpanTest, ExplicitEndIsIdempotent) {
   MetricRegistry reg;
-  Span span(&reg, ProfPhase::kElection);
+  Span span(reg, ProfPhase::kElection);
   span.BeginSim(0);
   span.EndSim(7);
   span.End();
@@ -49,22 +44,12 @@ TEST(ObsSpanTest, ExplicitEndIsIdempotent) {
       1u);
 }
 
-TEST(ObsSpanTest, NullRegistryIsInert) {
-  Profiler::Disable();
-  Profiler::Global().Reset();
-  Span span(nullptr, ProfPhase::kElection);
-  span.BeginSim(1);
-  span.EndSim(2);
-  span.End();  // must not crash
-  EXPECT_EQ(Profiler::Global().wall_us(ProfPhase::kElection).count(), 0u);
-}
-
 TEST(ObsSpanTest, MatchesSimulatorClockAcrossAPhase) {
   // Drive a real simulator and check the span's sim-ticks equals the
   // event-queue time that actually elapsed.
   Simulator sim({{0.0, 0.0}, {1.0, 0.0}}, {1.5, 1.5}, SimConfig{});
   {
-    Span span(&sim.registry(), ProfPhase::kMaintenanceRound);
+    Span span(sim.registry(), ProfPhase::kMaintenanceRound);
     span.BeginSim(sim.now());
     sim.ScheduleAt(25, [] {});
     sim.RunUntil(30);
@@ -81,40 +66,22 @@ TEST(ObsSpanTest, NamesKeepTheRegistryAndTraceKeys) {
   EXPECT_STREQ(Span::Name(ProfPhase::kElection), "election");
   EXPECT_STREQ(Span::Name(ProfPhase::kMaintenanceRound), "maintenance.tick");
   EXPECT_STREQ(Span::Name(ProfPhase::kQueryExecution), "query.execute");
-  EXPECT_STREQ(Span::Name(ProfPhase::kNetworkBuild), "network_build");
 }
 
-TEST(ObsSpanTest, NullRegistryStillRecordsNetworkBuild) {
-  // bench/scale_sweep times the deployment build with no registry.
-  Profiler::Global().Reset();
-  Profiler::Enable();
-  { Span span(nullptr, ProfPhase::kNetworkBuild); }
-  Profiler::Disable();
-  EXPECT_EQ(Profiler::Global().wall_us(ProfPhase::kNetworkBuild).count(), 1u);
-  EXPECT_EQ(Profiler::Global().cpu_us(ProfPhase::kNetworkBuild).count(), 1u);
-}
-
-TEST(ObsSpanTest, OneSpanFeedsRegistryProfilerAndTracer) {
-  Profiler::Global().Reset();
-  Profiler::Enable();
+TEST(ObsSpanTest, OneSpanFeedsRegistryAndTracer) {
   MetricRegistry reg;
   Tracer tracer;
   const TraceContext root =
       tracer.StartTrace(TraceRootKind::kElection, kInvalidNode, 10);
   {
-    Span span(&reg, ProfPhase::kElection);
+    Span span(reg, ProfPhase::kElection);
     span.AttachTrace(&tracer, root);
     span.BeginSim(10);
     span.EndSim(16);
   }
-  Profiler::Disable();
-  EXPECT_EQ(reg.TakeSnapshot().at("election.wall_us.count"), 1.0);
-  const LogHistogram& wall = Profiler::Global().wall_us(ProfPhase::kElection);
-  EXPECT_EQ(wall.count(), 1u);
-  // Both sinks saw the same reading.
-  EXPECT_DOUBLE_EQ(
-      reg.GetHistogram("election.wall_us", Span::WallMicrosBounds())->sum(),
-      wall.sum());
+  const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
+  EXPECT_EQ(snap.at("election.wall_us.count"), 1.0);
+  EXPECT_EQ(snap.at("election.sim_ticks.sum"), 6.0);
   size_t phases = 0;
   for (const TraceSpan& s : tracer.spans()) {
     if (s.kind != TraceSpanKind::kPhase) continue;
@@ -124,6 +91,24 @@ TEST(ObsSpanTest, OneSpanFeedsRegistryProfilerAndTracer) {
     EXPECT_EQ(s.end, 16);
   }
   EXPECT_EQ(phases, 1u);
+}
+
+TEST(ObsSpanTest, TraceSpanNeedsBothSimMarks) {
+  // A wall-only phase still lands in the registry but has no simulated
+  // interval to put on the trace.
+  MetricRegistry reg;
+  Tracer tracer;
+  const TraceContext root =
+      tracer.StartTrace(TraceRootKind::kElection, kInvalidNode, 10);
+  {
+    Span span(reg, ProfPhase::kElection);
+    span.AttachTrace(&tracer, root);
+    span.BeginSim(10);
+  }
+  EXPECT_EQ(reg.TakeSnapshot().at("election.wall_us.count"), 1.0);
+  for (const TraceSpan& s : tracer.spans()) {
+    EXPECT_NE(s.kind, TraceSpanKind::kPhase);
+  }
 }
 
 }  // namespace

@@ -1,28 +1,26 @@
 #!/usr/bin/env python3
-"""Validate and diff BENCH.json performance reports.
+"""Validate and diff BENCH.json counter reports.
 
 Two modes:
 
   bench_compare.py --validate CURRENT.json [--min-benchmarks N]
       schema-check one report (CI gates on this).
 
-  bench_compare.py BASELINE.json CURRENT.json [--warn-only] [tolerances]
-      schema-check both, then compare per-benchmark wall time, throughput
-      and peak RSS against percentage tolerances. Each wall line carries
-      the baseline/current speedup factor; wall and peak-RSS changes past
-      the tolerance in the good direction print as "[improved]" notes.
-      Exits 1 on regression unless --warn-only; schema violations always
-      exit 2.
+  bench_compare.py BASELINE.json CURRENT.json [--fail-on-regression]
+      schema-check both, then compare every benchmark's hot-op counters.
+      A counter that differs prints as a note (the seeded work changed)
+      and the tool exits 0.
 
-With --fail-on-regression, counter mismatches are regressions instead of
-notes: the hot-op counters are fully seeded, so two reports of the same
-tree must agree exactly. This is the determinism gate for the parallel
-experiment engine — a `--jobs 1` and a `--jobs N` run must produce
-bit-identical counter sets, only their wall clocks may differ.
+With --fail-on-regression, counter mismatches are regressions (exit 1)
+instead of notes: the hot-op counters are fully seeded, so two reports of
+the same tree must agree exactly. This is the determinism gate for the
+parallel experiment engine — a `--jobs 1` and a `--jobs N` run must
+produce bit-identical counter sets. Schema violations always exit 2.
 
-The schema is the one frozen by bench/bench_report.h (schema_version 1)
-and pinned by tests/bench/bench_report_test.cc — update all three
-together.
+BENCH.json holds no timings: time and memory are measured by perfbench
+(BENCHMARK.json). The schema is the one frozen by bench/bench_report.h
+(schema_version 2) and pinned by tests/bench/bench_report_test.cc —
+update all three together.
 """
 
 import argparse
@@ -31,15 +29,11 @@ import sys
 
 from sidecar_schema import check_fields, is_number
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-SUMMARY_FIELDS = {"median": float, "mean": float, "min": float, "max": float,
-                  "reps": int}
-LATENCY_FIELDS = {"count": int, "p50": float, "p95": float, "p99": float,
-                  "max": float}
 TOP_FIELDS = {"schema_version": int, "git_sha": str, "timestamp": str,
-              "quick": bool, "harness_repetitions": int,
-              "driver_repetitions": int, "benchmarks": list}
+              "quick": bool, "driver_repetitions": int, "benchmarks": list}
+BENCHMARK_FIELDS = {"name": str, "counters": dict}
 
 
 def validate(report, path, min_benchmarks):
@@ -47,57 +41,29 @@ def validate(report, path, min_benchmarks):
     errors = []
     if not isinstance(report, dict):
         return [f"{path}: top level is not an object"]
-    check_fields(report, TOP_FIELDS, path, errors)
     if report.get("schema_version") != SCHEMA_VERSION:
-        errors.append(f"{path}: schema_version "
-                      f"{report.get('schema_version')!r} != {SCHEMA_VERSION}")
-    benchmarks = report.get("benchmarks", [])
-    if isinstance(benchmarks, list):
-        if len(benchmarks) < min_benchmarks:
-            errors.append(f"{path}: only {len(benchmarks)} benchmarks, "
-                          f"wanted >= {min_benchmarks}")
-        for b in benchmarks:
-            where = f"{path}:{b.get('name', '?') if isinstance(b, dict) else '?'}"
-            if not isinstance(b, dict):
-                errors.append(f"{where}: benchmark entry is not an object")
-                continue
-            check_fields(b, {"name": str, "wall_ms": dict, "cpu_ms": dict,
-                         "counters": dict, "throughput": dict,
-                         "latency_us": dict, "peak_rss_kb": int},
-                         where, errors)
-            for key in ("wall_ms", "cpu_ms"):
-                if isinstance(b.get(key), dict):
-                    check_fields(b[key], SUMMARY_FIELDS, f"{where}.{key}",
-                                 errors)
-            for key, value in b.get("counters", {}).items() \
-                    if isinstance(b.get("counters"), dict) else []:
-                if not is_number(value, int):
-                    errors.append(f"{where}.counters.{key}: not an integer")
-            for key, value in b.get("throughput", {}).items() \
-                    if isinstance(b.get("throughput"), dict) else []:
-                if not is_number(value, float):
-                    errors.append(f"{where}.throughput.{key}: not a number")
-            for key, value in b.get("latency_us", {}).items() \
-                    if isinstance(b.get("latency_us"), dict) else []:
-                if isinstance(value, dict):
-                    check_fields(value, LATENCY_FIELDS,
-                                 f"{where}.latency_us.{key}", errors)
-                else:
-                    errors.append(f"{where}.latency_us.{key}: not an object")
+        # Another version's fields would each be reported; one line says it.
+        return [f"{path}: schema_version {report.get('schema_version')!r} "
+                f"!= {SCHEMA_VERSION}"]
+    check_fields(report, TOP_FIELDS, path, errors)
+    benchmarks = report.get("benchmarks")
+    if not isinstance(benchmarks, list):
+        return errors
+    if len(benchmarks) < min_benchmarks:
+        errors.append(f"{path}: only {len(benchmarks)} benchmarks, "
+                      f"wanted >= {min_benchmarks}")
+    for i, b in enumerate(benchmarks):
+        where = f"{path}:benchmarks[{i}]"
+        if not isinstance(b, dict):
+            errors.append(f"{where}: not an object")
+            continue
+        check_fields(b, BENCHMARK_FIELDS, where, errors)
+        counters = b.get("counters")
+        for key, value in counters.items() if isinstance(counters, dict) \
+                else []:
+            if not is_number(value, int):
+                errors.append(f"{where}.counters.{key}: not an integer")
     return errors
-
-
-def pct_change(old, new):
-    """Percentage change, or None when it is undefined (zero baseline,
-    nonzero current): the old float("inf") rendered as a bogus "+inf%"
-    and poisoned tolerance comparisons."""
-    if old == 0:
-        return 0.0 if new == 0 else None
-    return 100.0 * (new - old) / old
-
-
-def fmt_delta(delta):
-    return "new: zero baseline" if delta is None else f"{delta:+.1f}%"
 
 
 def compare(base, cur, args):
@@ -110,56 +76,20 @@ def compare(base, cur, args):
         notes.append(f"{name}: present in baseline only")
     for name in sorted(set(cur_by_name) - set(base_by_name)):
         notes.append(f"{name}: new benchmark (no baseline)")
-    if base.get("quick") != cur.get("quick"):
-        notes.append("quick-mode mismatch between reports; wall/throughput "
-                     "comparison is apples-to-oranges")
+    if base["quick"] != cur["quick"]:
+        notes.append("quick-mode mismatch between reports; the counters "
+                     "count different work")
 
     for name in sorted(set(base_by_name) & set(cur_by_name)):
-        b, c = base_by_name[name], cur_by_name[name]
-
-        delta = pct_change(b["wall_ms"]["median"], c["wall_ms"]["median"])
-        old_wall, new_wall = b["wall_ms"]["median"], c["wall_ms"]["median"]
-        speedup = f", {old_wall / new_wall:.2f}x speedup" if new_wall > 0 \
-            else ""
-        line = (f"{name}: wall {old_wall:.1f} -> {new_wall:.1f} ms "
-                f"({fmt_delta(delta)}{speedup})")
-        if delta is None:
-            # A zero baseline cannot be compared against a tolerance; flag
-            # the measurement explicitly instead of failing on "+inf%".
-            notes.append(line)
-        elif delta > args.wall_tol:
-            regressions.append(line)
-        elif delta < -args.wall_tol:
-            notes.append(line + " [improved]")
-
-        for key, old in b["throughput"].items():
-            new = c["throughput"].get(key)
-            if new is None or old == 0:
-                continue
-            delta = pct_change(old, new)
-            if delta < -args.throughput_tol:
-                regressions.append(f"{name}: throughput {key} "
-                                   f"{old:.0f} -> {new:.0f} ({delta:+.1f}%)")
-
-        delta = pct_change(b["peak_rss_kb"], c["peak_rss_kb"])
-        line = (f"{name}: peak RSS {b['peak_rss_kb']} -> "
-                f"{c['peak_rss_kb']} KB ({fmt_delta(delta)})")
-        if delta is None:
-            notes.append(line)
-        elif delta > args.rss_tol:
-            regressions.append(line)
-        elif delta < -args.rss_tol:
-            notes.append(line + " [improved]")
-
-        for key, old in b["counters"].items():
-            new = c["counters"].get(key)
-            if new is not None and new != old:
+        base_counters = base_by_name[name]["counters"]
+        cur_counters = cur_by_name[name]["counters"]
+        for key in sorted(set(base_counters) | set(cur_counters)):
+            old, new = base_counters.get(key), cur_counters.get(key)
+            if new != old:
                 msg = f"{name}: counter {key} {old} -> {new} " \
                       "(seeded work changed)"
-                if args.fail_on_regression:
-                    regressions.append(msg)
-                else:
-                    notes.append(msg)
+                (regressions if args.fail_on_regression else notes).append(
+                    msg)
     return regressions, notes
 
 
@@ -185,20 +115,12 @@ def main():
     parser.add_argument("current", nargs="?", help="current BENCH.json")
     parser.add_argument("--validate", action="store_true",
                         help="schema-check only, no comparison")
-    parser.add_argument("--warn-only", action="store_true",
-                        help="report regressions but exit 0")
     parser.add_argument("--fail-on-regression", action="store_true",
                         help="treat counter mismatches as regressions "
                              "(determinism gate: seeded runs must agree "
                              "exactly)")
     parser.add_argument("--min-benchmarks", type=int, default=1,
                         help="fail validation below this many benchmarks")
-    parser.add_argument("--wall-tol", type=float, default=25.0,
-                        help="%% wall-time growth tolerated (default 25)")
-    parser.add_argument("--throughput-tol", type=float, default=25.0,
-                        help="%% throughput drop tolerated (default 25)")
-    parser.add_argument("--rss-tol", type=float, default=15.0,
-                        help="%% peak-RSS growth tolerated (default 15)")
     args = parser.parse_args()
 
     if args.validate:
@@ -222,9 +144,7 @@ def main():
         print(f"REGRESSION: {r}")
     print(f"compared {len(cur['benchmarks'])} benchmarks: "
           f"{len(regressions)} regression(s)")
-    if regressions and not args.warn_only:
-        return 1
-    return 0
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ import math
 import os
 import sys
 
+from sidecar_schema import is_number
+
 SCHEMA_VERSION = 1
 KIND = "snapq-energymap"
 
@@ -73,7 +75,8 @@ def validate(doc):
             return None
         return doc[name]
 
-    version = field("schema_version", lambda v: isinstance(v, int), "an int")
+    version = field("schema_version", lambda v: is_number(v, int),
+                    "an int")
     if version is not None and version != SCHEMA_VERSION:
         errors.append(f"schema_version {version} != {SCHEMA_VERSION}")
     kind = field("kind", lambda v: isinstance(v, str), "a string")
@@ -82,10 +85,10 @@ def validate(doc):
     field("benchmark", lambda v: isinstance(v, str), "a string")
     field("git_sha", lambda v: isinstance(v, str), "a string")
     field("quick", lambda v: isinstance(v, bool), "a bool")
-    field("t", lambda v: isinstance(v, int), "an int")
-    runs = field("runs", lambda v: isinstance(v, int) and v >= 1,
+    field("t", lambda v: is_number(v, int), "an int")
+    runs = field("runs", lambda v: is_number(v, int) and v >= 1,
                  "a positive int")
-    num_nodes = field("num_nodes", lambda v: isinstance(v, int) and v >= 0,
+    num_nodes = field("num_nodes", lambda v: is_number(v, int) and v >= 0,
                       "a non-negative int")
     field("unlimited", lambda v: isinstance(v, bool), "a bool")
     field("initial_battery", _num, "a number")
@@ -95,15 +98,18 @@ def validate(doc):
         for key in ("drained", "remaining"):
             if not _num(totals.get(key)):
                 errors.append(f"totals.{key}: not a number")
-        if not isinstance(totals.get("deaths"), int):
+        if not is_number(totals.get("deaths"), int):
             errors.append("totals.deaths: not an int")
         _check_cause_object(totals.get("by_cause"), "totals.by_cause", errors)
-        by_dir = totals.get("by_direction")
-        if not isinstance(by_dir, dict) or list(by_dir.keys()) != DIRECTIONS:
-            errors.append(f"totals.by_direction: keys != {DIRECTIONS}")
-        by_root = totals.get("by_root_kind")
-        if not isinstance(by_root, dict) or list(by_root.keys()) != ROOT_KINDS:
-            errors.append(f"totals.by_root_kind: keys != {ROOT_KINDS}")
+        for key, keys in (("by_direction", DIRECTIONS),
+                          ("by_root_kind", ROOT_KINDS)):
+            obj = totals.get(key)
+            if not isinstance(obj, dict) or list(obj.keys()) != keys:
+                errors.append(f"totals.{key}: keys != {keys}")
+                continue
+            for name, value in obj.items():
+                if not _num(value):
+                    errors.append(f"totals.{key}.{name}: not a number")
 
     forecast = field("forecast", lambda v: isinstance(v, dict), "an object")
     if forecast is not None:
@@ -131,7 +137,7 @@ def validate(doc):
             for key in ("x", "y", "remaining", "drained"):
                 if not _num(row[key]):
                     errors.append(f"nodes[{i}].{key}: not a number")
-            if not isinstance(row["deaths"], int):
+            if not is_number(row["deaths"], int):
                 errors.append(f"nodes[{i}].deaths: not an int")
             _check_cause_object(row["by_cause"], f"nodes[{i}].by_cause",
                                 errors)

@@ -4,7 +4,7 @@
 bench_compare.py, timeline_check.py and topo_report.py validate their
 JSON documents against {field: type} tables with check_fields(), and the
 latter two write their machine-readable verdicts with
-write_json_verdict(). The tools import this module from their own
+write_json_verdict(). energy_report.py uses is_number(). The tools import this module from their own
 directory: `from sidecar_schema import check_fields`.
 """
 

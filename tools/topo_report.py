@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 
-from sidecar_schema import check_fields, write_json_verdict
+from sidecar_schema import check_fields, is_number, write_json_verdict
 
 SCHEMA_VERSION = 1
 KIND = "snapq-topo"
@@ -81,13 +81,13 @@ def validate(doc, path):
     for i, b in enumerate(doc.get("bridges", [])
                           if isinstance(doc.get("bridges"), list) else []):
         if not (isinstance(b, list) and len(b) == 2
-                and all(isinstance(v, int) for v in b)):
+                and all(is_number(v, int) for v in b)):
             errors.append(f"{path}:bridges[{i}]: not an [u, v] pair")
 
     for i, a in enumerate(doc.get("articulation", [])
                           if isinstance(doc.get("articulation"), list)
                           else []):
-        if not isinstance(a, int):
+        if not is_number(a, int):
             errors.append(f"{path}:articulation[{i}]: not an int")
 
     extras = doc.get("extras", {})
@@ -124,21 +124,26 @@ def validate(doc, path):
             elif n.get("alive") is False and n.get("component") != -1:
                 errors.append(f"{where}: dead node with component "
                               f"{n.get('component')!r} (wanted -1)")
-    # Cross-checks: the summary must agree with the per-node detail.
+    # Cross-checks: the summary must agree with the per-node detail. A
+    # list field of the wrong type was reported above and is not counted.
+    def count(key):
+        value = doc.get(key, [])
+        return len(value) if isinstance(value, list) else None
+
     if isinstance(summary, dict):
         checks = [("live (top-level)", doc.get("live"), live),
                   ("summary.partitions", summary.get("partitions"),
                    len(components)),
                   ("summary.isolated", summary.get("isolated"), isolated),
                   ("summary.bridges", summary.get("bridges"),
-                   len(doc.get("bridges", []))),
+                   count("bridges")),
                   ("summary.articulation_nodes",
-                   summary.get("articulation_nodes"),
-                   len(doc.get("articulation", []))),
+                   summary.get("articulation_nodes"), count("articulation")),
                   ("summary.links_observed", summary.get("links_observed"),
-                   len(doc.get("links", [])))]
+                   count("links"))]
         for label, claimed, actual in checks:
-            if isinstance(claimed, int) and claimed != actual:
+            if actual is not None and isinstance(claimed, int) \
+                    and claimed != actual:
                 errors.append(f"{path}: {label} {claimed} != derived "
                               f"{actual}")
 
