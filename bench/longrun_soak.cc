@@ -143,7 +143,10 @@ SNAPQ_BENCHMARK(longrun_soak,
   std::printf("soak horizon %lld, %llu telemetry samples\n",
               static_cast<long long>(horizon),
               static_cast<unsigned long long>(net.telemetry()->num_samples()));
-  std::printf("%s", watchdog.ToString().c_str());
+  // The SLO table goes to stderr: its proc.rss_kb rule reports the
+  // process's own RSS trend, which moves with the binary, not with the
+  // simulation, and stdout stays comparable byte for byte across builds.
+  std::fprintf(stderr, "%s", watchdog.ToString().c_str());
 
   if (ctx.write_sidecars) {
     obs::TimelineMeta meta;

@@ -1,6 +1,7 @@
 #include "net/link_model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <type_traits>
 
 #include "common/check.h"
@@ -21,6 +22,13 @@ double MaxRange(const std::vector<double>& ranges) {
   return max_range;
 }
 
+/// The next geometry version; shared by every model in the process (and
+/// by parallel sweeps' threads), so versions never repeat.
+uint64_t NextVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
 }  // namespace
 
 LinkModel::LinkModel(std::vector<Point> positions, std::vector<double> ranges,
@@ -29,7 +37,8 @@ LinkModel::LinkModel(std::vector<Point> positions, std::vector<double> ranges,
       ranges_(std::move(ranges)),
       loss_probability_(loss_probability),
       max_range_(MaxRange(ranges_)),
-      index_(positions_, max_range_ > 0.0 ? max_range_ : 1.0) {
+      index_(positions_, max_range_ > 0.0 ? max_range_ : 1.0),
+      version_(NextVersion()) {
   SNAPQ_CHECK_EQ(positions_.size(), ranges_.size());
   SNAPQ_CHECK(loss_probability_ >= 0.0 && loss_probability_ <= 1.0);
   const size_t n = positions_.size();
@@ -117,6 +126,7 @@ void LinkModel::SetPosition(NodeId id, const Point& position) {
   SNAPQ_CHECK_LT(id, num_nodes());
   const Point old = positions_[id];
   positions_[id] = position;
+  version_ = NextVersion();
   index_.Move(id, old, position);
 
   // Rebuild the mover's own row from the grid.

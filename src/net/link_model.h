@@ -71,6 +71,16 @@ class LinkModel {
   /// O(k) in the local node count near the old and new positions.
   void SetPosition(NodeId id, const Point& position);
 
+  /// Identifies the current geometry: changes on every SetPosition (even
+  /// one that leaves every adjacency row as it was) and on nothing else.
+  /// Loss overrides and overlay compaction keep it, since reachability
+  /// and routing read only positions and ranges. Values come from one
+  /// process-wide sequence, so two models (or a model and one assigned
+  /// over it) share a version only when one is a copy of the other's
+  /// current geometry. Consumers cache reachability-derived results
+  /// (routing trees) keyed on it.
+  uint64_t version() const { return version_; }
+
   /// True if the undirected connectivity graph is connected (used by
   /// experiments to reject degenerate placements, §6.1 notes ranges below
   /// 0.2 often disconnect a 100-node network). Walks the stored adjacency
@@ -109,6 +119,8 @@ class LinkModel {
   /// since the last compaction and lives in overlay_rows_ instead.
   std::vector<int32_t> overlay_index_;
   std::vector<std::vector<NodeId>> overlay_rows_;
+
+  uint64_t version_;
 
   /// Directed link overrides, keyed by from * num_nodes + to.
   std::unordered_map<uint64_t, double> link_loss_;

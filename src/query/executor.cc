@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <vector>
 
 #include "common/check.h"
 #include "obs/accuracy.h"
@@ -30,7 +31,13 @@ QueryExecutor::QueryExecutor(
     Catalog catalog)
     : sim_(sim), agents_(agents), catalog_(std::move(catalog)) {
   SNAPQ_CHECK(sim != nullptr && agents != nullptr);
-  SNAPQ_CHECK_EQ(sim->num_nodes(), agents->size());
+  const size_t n = agents->size();
+  SNAPQ_CHECK_EQ(sim->num_nodes(), n);
+  matching_.assign(n, false);
+  alive_.assign(n, false);
+  favor_.assign(n, false);
+  on_path_.assign(n, 0);
+  claims_.assign(n, QueryClaim{});
 }
 
 Result<QueryResult> QueryExecutor::ExecuteSql(const std::string& sql,
@@ -64,32 +71,104 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec,
                        options);
 }
 
-std::vector<NodeId> QueryExecutor::CollectResponders(const Rect& region,
-                                                     bool use_snapshot) const {
-  std::vector<NodeId> responders;
+void QueryExecutor::CollectResponders(bool use_snapshot,
+                                      std::vector<NodeId>* out) const {
   const size_t n = agents_->size();
   for (NodeId i = 0; i < n; ++i) {
     if (!sim_->alive(i)) continue;
     const SnapshotAgent& agent = *(*agents_)[i];
-    const bool in_region = region.Contains(sim_->links().position(i));
+    const bool in_region = matching_[i];
     if (!use_snapshot) {
-      if (in_region) responders.push_back(i);
+      if (in_region) out->push_back(i);
       continue;
     }
     // Snapshot rule (§3.1): respond when (i) not represented and matching,
     // or (ii) representing a matching node.
     if (in_region && agent.mode() != NodeMode::kPassive) {
-      responders.push_back(i);
+      out->push_back(i);
       continue;
     }
     for (const auto& [j, e] : agent.represents()) {
-      if (region.Contains(sim_->links().position(j))) {
-        responders.push_back(i);
+      if (matching_[j]) {
+        out->push_back(i);
         break;
       }
     }
   }
-  return responders;
+}
+
+const RoutingTree& QueryExecutor::TreeFor(NodeId sink, bool favored) const {
+  const uint64_t version = sim_->links().version();
+  for (const CachedTree& entry : trees_) {
+    if (entry.sink == sink && entry.links_version == version &&
+        entry.favored == favored && entry.alive == alive_ &&
+        (!favored || entry.favor == favor_)) {
+      return entry.tree;
+    }
+  }
+  CachedTree fresh{sink, version, favored, alive_,
+                   favored ? favor_ : std::vector<bool>{},
+                   RoutingTree::Build(sim_->links(), alive_, sink,
+                                      favored ? &favor_ : nullptr)};
+  if (trees_.size() < kTreeCacheCapacity) {
+    trees_.push_back(std::move(fresh));
+    return trees_.back().tree;
+  }
+  CachedTree& victim = trees_[next_evict_];
+  next_evict_ = (next_evict_ + 1) % kTreeCacheCapacity;
+  victim = std::move(fresh);
+  return victim.tree;
+}
+
+const RoutingTree& QueryExecutor::PlanParticipation(
+    const Rect& region, bool use_snapshot, const ExecutionOptions& options,
+    size_t* matching_nodes) const {
+  const size_t n = agents_->size();
+  SNAPQ_CHECK_LT(options.sink, n);
+
+  // Coverage denominator: every placed node matching the predicate (dead
+  // included — an infinite-battery network would have heard them all).
+  *matching_nodes = 0;
+  for (NodeId i = 0; i < n; ++i) {
+    matching_[i] = region.Contains(sim_->links().position(i));
+    if (matching_[i]) ++*matching_nodes;
+  }
+
+  for (NodeId i = 0; i < n; ++i) {
+    alive_[i] = sim_->alive(i);
+    if (use_snapshot && options.passive_nodes_sleep && i != options.sink &&
+        (*agents_)[i]->mode() == NodeMode::kPassive) {
+      alive_[i] = false;  // sleeping: neither responds nor routes
+    }
+  }
+  if (options.favor_representatives) {
+    for (NodeId i = 0; i < n; ++i) {
+      favor_[i] = (*agents_)[i]->mode() == NodeMode::kActive;
+    }
+  }
+  const RoutingTree& tree =
+      TreeFor(options.sink, options.favor_representatives);
+
+  reachable_.clear();
+  CollectResponders(use_snapshot, &reachable_);
+  // A responder the flood never reaches never hears the request.
+  std::erase_if(reachable_,
+                [&](NodeId r) { return !tree.IsReachable(r); });
+
+  // Participants: reachable responders plus the routers on their paths
+  // (the paper counts routing nodes as participants). Each walk stops at
+  // the first node an earlier walk marked, so the pass is O(participants).
+  for (NodeId i : participants_) on_path_[i] = 0;
+  participants_.clear();
+  for (NodeId r : reachable_) {
+    for (NodeId v = r; v != kInvalidNode && on_path_[v] == 0;
+         v = tree.parent(v)) {
+      on_path_[v] = 1;
+      participants_.push_back(v);
+    }
+  }
+  std::sort(participants_.begin(), participants_.end());
+  return tree;
 }
 
 QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
@@ -109,59 +188,14 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   Simulator::TraceScope trace_scope(*sim_, qroot);
   QueryResult result;
 
-  // Coverage denominator: every placed node matching the predicate (dead
-  // included — an infinite-battery network would have heard them all).
-  std::vector<bool> matching(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    if (region.Contains(sim_->links().position(i))) {
-      matching[i] = true;
-      ++result.matching_nodes;
-    }
-  }
-
-  std::vector<bool> alive(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    alive[i] = sim_->alive(i);
-    if (use_snapshot && options.passive_nodes_sleep && i != options.sink &&
-        (*agents_)[i]->mode() == NodeMode::kPassive) {
-      alive[i] = false;  // sleeping: neither responds nor routes
-    }
-  }
-
-  std::vector<bool> favor;
-  const std::vector<bool>* favor_ptr = nullptr;
-  if (options.favor_representatives) {
-    favor.assign(n, false);
-    for (NodeId i = 0; i < n; ++i) {
-      favor[i] = (*agents_)[i]->mode() == NodeMode::kActive;
-    }
-    favor_ptr = &favor;
-  }
-  const RoutingTree tree =
-      RoutingTree::Build(sim_->links(), alive, options.sink, favor_ptr);
-
-  const std::vector<NodeId> responders =
-      CollectResponders(region, use_snapshot);
-
-  // Participants: responders that can reach the sink, plus the routers on
-  // their paths (the paper counts routing nodes as participants).
-  std::vector<bool> participates(n, false);
-  std::vector<NodeId> reachable_responders;
-  for (NodeId r : responders) {
-    if (!tree.IsReachable(r)) continue;  // never hears the request
-    reachable_responders.push_back(r);
-    for (NodeId on_path : tree.PathToSink(r)) {
-      participates[on_path] = true;
-    }
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    if (participates[i]) ++result.participants;
-  }
-  result.responders = reachable_responders.size();
+  const RoutingTree& tree =
+      PlanParticipation(region, use_snapshot, options, &result.matching_nodes);
+  result.participants = participants_.size();
+  result.responders = reachable_.size();
   if (qroot.sampled()) {
     // One instant per responder; `value` flags a PASSIVE responder, which
     // breaks the snapshot invariant (representatives answer for members).
-    for (NodeId r : reachable_responders) {
+    for (NodeId r : reachable_) {
       const bool passive = (*agents_)[r]->mode() == NodeMode::kPassive;
       sim_->tracer()->RecordInstant(qroot, "query.respond", r, sim_->now(),
                                     passive ? 1 : 0);
@@ -169,42 +203,57 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   }
 
   obs::MetricRegistry& reg = sim_->registry();
-  reg.GetCounter("query.executions")->Inc();
-  if (use_snapshot) reg.GetCounter("query.snapshot_executions")->Inc();
-  const std::vector<double> node_buckets{0, 1, 2, 5, 10, 20, 50, 100, 200,
-                                         500};
-  reg.GetHistogram("query.participants", node_buckets)
-      ->Observe(static_cast<double>(result.participants));
-  reg.GetHistogram("query.responders", node_buckets)
-      ->Observe(static_cast<double>(result.responders));
+  Instruments& ins = instruments_;
+  if (ins.executions == nullptr) {
+    static const std::vector<double> node_buckets{0,  1,  2,   5,   10,
+                                                  20, 50, 100, 200, 500};
+    ins.executions = reg.GetCounter("query.executions");
+    ins.participants = reg.GetHistogram("query.participants", node_buckets);
+    ins.responders = reg.GetHistogram("query.responders", node_buckets);
+  }
+  ins.executions->Inc();
+  if (use_snapshot) {
+    if (ins.snapshot_executions == nullptr) {
+      ins.snapshot_executions = reg.GetCounter("query.snapshot_executions");
+    }
+    ins.snapshot_executions->Inc();
+  }
+  ins.participants->Observe(static_cast<double>(result.participants));
+  ins.responders->Observe(static_cast<double>(result.responders));
 
   // kQueryReply transmissions this round induces: one per participant, the
   // sink excluded (it hands the result to the base station radio-free).
   const size_t replies =
-      result.participants - (participates[options.sink] ? 1u : 0u);
+      result.participants - (on_path_[options.sink] != 0 ? 1u : 0u);
 
   if (options.charge_energy) {
     // One transmission per participant: its partial aggregate / row batch
     // sent one hop up the tree. Attributed per node in the registry so
     // Fig-10-style runs can split election vs maintenance vs query drain.
+    if (ins.energy_tx.empty()) ins.energy_tx.assign(n, nullptr);
     const double tx = sim_->config().energy.tx_cost;
-    for (NodeId i = 0; i < n; ++i) {
-      if (!participates[i] || i == options.sink) continue;
+    for (NodeId i : participants_) {
+      if (i == options.sink) continue;
       // DrainAs lands the joules in the energy ledger's kQueryReply/tx
       // cell, matching the CountSent attribution below.
       sim_->DrainAs(i, tx, MessageType::kQueryReply);
       sim_->metrics().CountSent(MessageType::kQueryReply);
-      reg.GetCounter("query.energy.tx", i)->Inc();
+      if (ins.energy_tx[i] == nullptr) {
+        ins.energy_tx[i] = reg.GetCounter("query.energy.tx", i);
+      }
+      ins.energy_tx[i]->Inc();
     }
-    reg.GetGauge("query.energy.drained")->Add(tx * static_cast<double>(replies));
+    if (ins.energy_drained == nullptr) {
+      ins.energy_drained = reg.GetGauge("query.energy.drained");
+    }
+    ins.energy_drained->Add(tx * static_cast<double>(replies));
   }
 
   // Collect measurements, deduplicating multiple claims per node by latest
   // election epoch (spurious-representative filtering, §3).
-  std::map<NodeId, QueryClaim> claims;
-  CollectClaims(use_snapshot, reachable_responders, matching, &claims);
+  CollectClaims(use_snapshot);
 
-  result.covered_nodes = claims.size();
+  result.covered_nodes = claimed_.size();
   result.coverage =
       result.matching_nodes == 0
           ? 1.0
@@ -223,7 +272,8 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
     audit.BeginRound(obs::AuditSource::kQuery,
                      static_cast<int64_t>(options.sink), threshold,
                      sim_->now());
-    for (const auto& [j, claim] : claims) {
+    for (NodeId j : claimed_) {
+      const QueryClaim& claim = claims_[j];
       if (!claim.estimated) continue;
       const double truth = (*agents_)[j]->measurement();
       audit.ObserveEstimate(j, claim.reporter, claim.value - truth,
@@ -235,7 +285,8 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   sim_->journal().Emit("query.plan", sim_->now(), [&](obs::JournalEvent& e) {
     size_t estimated = 0;
     double max_abs_error = 0.0;
-    for (const auto& [j, claim] : claims) {
+    for (NodeId j : claimed_) {
+      const QueryClaim& claim = claims_[j];
       if (!claim.estimated) continue;
       ++estimated;
       const double err =
@@ -256,16 +307,17 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   // Answers.
   if (aggregate != AggregateFunction::kNone) {
     PartialAggregate agg(aggregate);
-    for (const auto& [j, claim] : claims) agg.AddValue(claim.value);
+    for (NodeId j : claimed_) agg.AddValue(claims_[j].value);
     result.aggregate = agg.Finalize();
     PartialAggregate truth(aggregate);
     for (NodeId i = 0; i < n; ++i) {
-      if (matching[i]) truth.AddValue((*agents_)[i]->measurement());
+      if (matching_[i]) truth.AddValue((*agents_)[i]->measurement());
     }
     result.true_aggregate = truth.Finalize();
   } else {
-    result.rows.reserve(claims.size());
-    for (const auto& [j, claim] : claims) {
+    result.rows.reserve(claimed_.size());
+    for (NodeId j : claimed_) {
+      const QueryClaim& claim = claims_[j];
       QueryRow row{j, claim.reporter, claim.value, claim.estimated, {}};
       if (claim.estimated) {
         row.model_error = claim.value - (*agents_)[j]->measurement();
@@ -286,10 +338,10 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
                             static_cast<double>(replies)
                       : 0.0;
     prov.tree_depth = -1;
-    for (NodeId r : reachable_responders) {
+    for (NodeId r : reachable_) {
       prov.tree_depth = std::max(prov.tree_depth, tree.depth(r));
     }
-    prov.claims = std::move(claims);
+    prov.claims = ClaimMap();
     prov.depth.assign(n, -1);
     for (NodeId i = 0; i < n; ++i) prov.depth[i] = tree.depth(i);
   }
@@ -298,94 +350,69 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   return result;
 }
 
-void QueryExecutor::CollectClaims(bool use_snapshot,
-                                  const std::vector<NodeId>& responders,
-                                  const std::vector<bool>& matching,
-                                  std::map<NodeId, QueryClaim>* claims) const {
-  for (NodeId r : responders) {
+void QueryExecutor::CollectClaims(bool use_snapshot) const {
+  for (NodeId j : claimed_) claims_[j] = QueryClaim{};
+  claimed_.clear();
+  // An empty slot (reporter == kInvalidNode) takes any claim; a taken one
+  // only a superseding claim.
+  const auto offer = [&](NodeId j, const QueryClaim& claim) {
+    QueryClaim& slot = claims_[j];
+    if (slot.reporter == kInvalidNode) {
+      slot = claim;
+      claimed_.push_back(j);
+    } else if (Supersedes(claim, slot)) {
+      slot = claim;
+    }
+  };
+  for (NodeId r : reachable_) {
     const SnapshotAgent& agent = *(*agents_)[r];
-    if (matching[r] &&
+    if (matching_[r] &&
         (!use_snapshot || agent.mode() != NodeMode::kPassive)) {
-      const QueryClaim self{r, kQueryClaimSelfEpoch, agent.measurement(),
-                            false};
-      auto [it, inserted] = claims->try_emplace(r, self);
-      if (!inserted && Supersedes(self, it->second)) it->second = self;
+      offer(r, QueryClaim{r, kQueryClaimSelfEpoch, agent.measurement(),
+                          false});
     }
     if (!use_snapshot) continue;
     for (const auto& [j, e] : agent.represents()) {
-      if (!matching[j]) continue;
+      if (!matching_[j]) continue;
       const std::optional<double> estimate = agent.EstimateFor(j);
       if (!estimate.has_value()) continue;
-      const QueryClaim claim{r, e, *estimate, true};
-      auto [it, inserted] = claims->try_emplace(j, claim);
-      if (!inserted && Supersedes(claim, it->second)) it->second = claim;
+      offer(j, QueryClaim{r, e, *estimate, true});
     }
   }
+  std::sort(claimed_.begin(), claimed_.end());
+}
+
+std::map<NodeId, QueryClaim> QueryExecutor::ClaimMap() const {
+  std::map<NodeId, QueryClaim> claims;
+  for (NodeId j : claimed_) claims.emplace_hint(claims.end(), j, claims_[j]);
+  return claims;
 }
 
 QueryProvenance QueryExecutor::PlanRegion(
     const Rect& region, bool use_snapshot,
     const ExecutionOptions& options) const {
-  const size_t n = agents_->size();
-  SNAPQ_CHECK_LT(options.sink, n);
-  QueryProvenance plan;
-
-  std::vector<bool> matching(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    if (region.Contains(sim_->links().position(i))) {
-      matching[i] = true;
-      ++plan.matching_nodes;
-    }
-  }
-
-  // Mirror ExecuteRegion's participation model exactly: the estimate and
+  // Shares ExecuteRegion's participation pass exactly: the estimate and
   // the actuals must only diverge when the snapshot state itself changes
   // between planning and execution.
-  std::vector<bool> alive(n, false);
-  for (NodeId i = 0; i < n; ++i) {
-    alive[i] = sim_->alive(i);
-    if (use_snapshot && options.passive_nodes_sleep && i != options.sink &&
-        (*agents_)[i]->mode() == NodeMode::kPassive) {
-      alive[i] = false;
-    }
-  }
-  std::vector<bool> favor;
-  const std::vector<bool>* favor_ptr = nullptr;
-  if (options.favor_representatives) {
-    favor.assign(n, false);
-    for (NodeId i = 0; i < n; ++i) {
-      favor[i] = (*agents_)[i]->mode() == NodeMode::kActive;
-    }
-    favor_ptr = &favor;
-  }
-  const RoutingTree tree =
-      RoutingTree::Build(sim_->links(), alive, options.sink, favor_ptr);
-
-  const std::vector<NodeId> responders =
-      CollectResponders(region, use_snapshot);
-  std::vector<bool> participates(n, false);
-  std::vector<NodeId> reachable_responders;
-  for (NodeId r : responders) {
-    if (!tree.IsReachable(r)) continue;
-    reachable_responders.push_back(r);
+  QueryProvenance plan;
+  const RoutingTree& tree =
+      PlanParticipation(region, use_snapshot, options, &plan.matching_nodes);
+  for (NodeId r : reachable_) {
     plan.tree_depth = std::max(plan.tree_depth, tree.depth(r));
-    for (NodeId on_path : tree.PathToSink(r)) {
-      participates[on_path] = true;
-    }
   }
-  for (NodeId i = 0; i < n; ++i) {
-    if (participates[i]) ++plan.participants;
-  }
-  plan.responders = reachable_responders.size();
+  plan.participants = participants_.size();
+  plan.responders = reachable_.size();
   plan.reachable_nodes = tree.CountReachable();
   plan.messages =
-      plan.participants - (participates[options.sink] ? 1u : 0u);
+      plan.participants - (on_path_[options.sink] != 0 ? 1u : 0u);
   plan.energy = options.charge_energy
                     ? sim_->config().energy.tx_cost *
                           static_cast<double>(plan.messages)
                     : 0.0;
 
-  CollectClaims(use_snapshot, reachable_responders, matching, &plan.claims);
+  CollectClaims(use_snapshot);
+  plan.claims = ClaimMap();
+  const size_t n = agents_->size();
   plan.depth.assign(n, -1);
   for (NodeId i = 0; i < n; ++i) plan.depth[i] = tree.depth(i);
   return plan;

@@ -34,6 +34,9 @@ namespace snapq {
 
 namespace obs {
 class AccuracyAuditor;
+class Counter;
+class Gauge;
+class Histogram;
 }  // namespace obs
 
 /// One returned row (drill-through queries).
@@ -174,13 +177,12 @@ class QueryExecutor {
   /// right now. Nothing is transmitted, charged or journaled — this is
   /// EXPLAIN's estimate, joined against the actuals captured through
   /// ExecutionOptions::provenance by EXPLAIN ANALYZE.
+  ///
+  /// `const` because it changes no network state; it still fills the
+  /// executor's routing-tree cache and scratch, so an executor serves one
+  /// thread at a time (parallel sweeps give each task its own network).
   QueryProvenance PlanRegion(const Rect& region, bool use_snapshot,
                              const ExecutionOptions& options) const;
-
-  /// The nodes that respond to this query, per the snapshot rule
-  /// (public for the EXPLAIN planner).
-  std::vector<NodeId> CollectResponders(const Rect& region,
-                                        bool use_snapshot) const;
 
   const Catalog& catalog() const { return catalog_; }
   Catalog& catalog() { return catalog_; }
@@ -191,16 +193,82 @@ class QueryExecutor {
   }
 
  private:
-  /// Deduplicates claims from `responders` over the matching nodes by
-  /// latest election epoch (spurious-representative filtering, §3).
-  void CollectClaims(bool use_snapshot,
-                     const std::vector<NodeId>& responders,
-                     const std::vector<bool>& matching,
-                     std::map<NodeId, QueryClaim>* claims) const;
+  /// Routing trees kept for reuse. Four covers a gateway per query sink
+  /// in the served workloads; the rest absorbs the per-sink variants
+  /// (passive sleep, favored routing) that alternate between rounds.
+  static constexpr size_t kTreeCacheCapacity = 8;
+
+  /// One cached tree and the full key it is a pure function of: the sink,
+  /// the radio geometry (LinkModel::version()), the routing-alive set
+  /// (passive sleepers already masked out) and the favor bits, if any.
+  struct CachedTree {
+    NodeId sink = kInvalidNode;
+    uint64_t links_version = 0;
+    bool favored = false;
+    std::vector<bool> alive;
+    std::vector<bool> favor;
+    RoutingTree tree;
+  };
+
+  /// Registry instruments, resolved on first use (so a network that never
+  /// queries registers none of them) and then kept: registry handles are
+  /// stable for the registry's lifetime.
+  struct Instruments {
+    obs::Counter* executions = nullptr;
+    obs::Counter* snapshot_executions = nullptr;
+    obs::Histogram* participants = nullptr;
+    obs::Histogram* responders = nullptr;
+    obs::Gauge* energy_drained = nullptr;
+    std::vector<obs::Counter*> energy_tx;  ///< per node, on first charge
+  };
+
+  /// The participation pass shared by ExecuteRegion and PlanRegion: counts
+  /// the nodes matching `region` into matching_, fetches the round's
+  /// routing tree, and fills reachable_ (responders that can reach the
+  /// sink) and participants_ (those plus the routers on their paths,
+  /// ascending id). Returns the tree; `matching_nodes` gets the count.
+  const RoutingTree& PlanParticipation(const Rect& region, bool use_snapshot,
+                                       const ExecutionOptions& options,
+                                       size_t* matching_nodes) const;
+
+  /// The routing tree for `sink` over alive_ (and favor_ when
+  /// `favored`): a cache hit when the key matches an entry, else a fresh
+  /// RoutingTree::Build replacing the oldest entry.
+  const RoutingTree& TreeFor(NodeId sink, bool favored) const;
+
+  /// Appends the live nodes that respond to a query over the region in
+  /// matching_, per the snapshot rule, to `out` in ascending id order.
+  void CollectResponders(bool use_snapshot, std::vector<NodeId>* out) const;
+
+  /// Deduplicates claims from reachable_ over matching_ by latest election
+  /// epoch (spurious-representative filtering, §3) into claims_, and lists
+  /// the claimed node ids in claimed_ in ascending order. Both stay valid
+  /// until the next call.
+  void CollectClaims(bool use_snapshot) const;
+
+  /// claimed_ as the ordered map QueryProvenance carries.
+  std::map<NodeId, QueryClaim> ClaimMap() const;
 
   Simulator* const sim_;
   std::vector<std::unique_ptr<SnapshotAgent>>* const agents_;
   Catalog catalog_;
+  Instruments instruments_;
+
+  // Per-round scratch, reused so a round allocates nothing that grows with
+  // the region (see explain_alloc_test). The bit vectors, on_path_ and
+  // claims_ are indexed by node id; the other three list node ids.
+  mutable std::vector<bool> matching_;
+  mutable std::vector<bool> alive_;
+  mutable std::vector<bool> favor_;
+  mutable std::vector<uint8_t> on_path_;
+  mutable std::vector<NodeId> reachable_;
+  mutable std::vector<NodeId> participants_;
+  /// Winning claim per node; only the entries listed in claimed_ are live.
+  mutable std::vector<QueryClaim> claims_;
+  mutable std::vector<NodeId> claimed_;
+
+  mutable std::vector<CachedTree> trees_;
+  mutable size_t next_evict_ = 0;
 };
 
 }  // namespace snapq

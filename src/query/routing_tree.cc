@@ -68,17 +68,4 @@ int RoutingTree::MaxDepth() const {
   return max_depth;
 }
 
-std::vector<NodeId> RoutingTree::PathToSink(NodeId id) const {
-  std::vector<NodeId> path;
-  if (!IsReachable(id)) return path;
-  NodeId cur = id;
-  while (cur != kInvalidNode) {
-    path.push_back(cur);
-    if (cur == sink_) break;
-    cur = parent_[cur];
-  }
-  SNAPQ_CHECK(!path.empty() && path.back() == sink_);
-  return path;
-}
-
 }  // namespace snapq

@@ -48,10 +48,6 @@ class RoutingTree {
 
   size_t num_nodes() const { return parent_.size(); }
 
-  /// Nodes on the path from `id` up to and including the sink; empty when
-  /// unreachable. The first element is `id` itself.
-  std::vector<NodeId> PathToSink(NodeId id) const;
-
  private:
   RoutingTree(NodeId sink, std::vector<NodeId> parent, std::vector<int> depth)
       : sink_(sink), parent_(std::move(parent)), depth_(std::move(depth)) {}

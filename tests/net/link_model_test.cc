@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace snapq {
 namespace {
@@ -154,6 +155,53 @@ TEST(LinkModelTest, PerLinkLossOverridesSurviveMoves) {
   Rng rng(6);
   EXPECT_TRUE(lm.SampleLoss(0, 1, rng));
   EXPECT_FALSE(lm.SampleLoss(1, 0, rng));
+}
+
+TEST(LinkModelTest, VersionBumpsOnEveryMoveAndOnNothingElse) {
+  LinkModel lm = Line3(1.0);
+  const uint64_t built = lm.version();
+  lm.SetLinkLoss(0, 1, 0.5);  // loss is not reachability
+  EXPECT_EQ(lm.version(), built);
+  Rng rng(7);
+  (void)lm.SampleLoss(0, 1, rng);
+  (void)lm.IsConnected();
+  EXPECT_EQ(lm.version(), built);
+
+  // A move that changes no adjacency row still bumps: the version tracks
+  // the geometry, not a diff of it.
+  lm.SetPosition(1, {1, 0});
+  EXPECT_EQ(lm.version(), built + 1);
+  lm.SetPosition(2, {1, 1});
+  EXPECT_EQ(lm.version(), built + 2);
+}
+
+TEST(LinkModelTest, OverlayCompactionDoesNotBumpTheVersion) {
+  // 70 nodes on a line; moving 65 of them in place overflows the overlay
+  // (threshold max(64, n/4)), so one of the moves compacts. Every move is
+  // still exactly one bump.
+  std::vector<Point> pts;
+  for (int i = 0; i < 70; ++i) pts.push_back({0.01 * i, 0});
+  LinkModel lm(pts, std::vector<double>(70, 0.05), 0.0);
+  bool compacted = false;
+  for (NodeId i = 0; i < 65; ++i) {
+    const uint64_t before = lm.version();
+    const size_t overlay_before = lm.overlay_rows();
+    lm.SetPosition(i, pts[i]);
+    if (lm.overlay_rows() < overlay_before) compacted = true;
+    EXPECT_EQ(lm.version(), before + 1) << "move " << i;
+  }
+  EXPECT_TRUE(compacted);
+}
+
+TEST(LinkModelTest, VersionNeverRepeatsAcrossModels) {
+  // A model assigned over another must not inherit a version a cache may
+  // already hold for the old geometry; a copy shares its source's.
+  LinkModel lm = Line3(1.0);
+  const uint64_t old_version = lm.version();
+  const LinkModel copy = lm;
+  EXPECT_EQ(copy.version(), old_version);
+  lm = Line3(2.0);
+  EXPECT_NE(lm.version(), old_version);
 }
 
 TEST(LinkModelTest, SingleNodeNetwork) {

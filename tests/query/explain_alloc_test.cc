@@ -100,22 +100,31 @@ Net MakeNet() {
 }
 
 const Rect kAll{0.0, 0.0, 1.0, 1.0};
+/// Holds node 3 (at x = 0.7) and no other.
+const Rect kNodeThree{0.6, 0.0, 0.8, 0.2};
 
-/// Steady-state allocations of `rounds` query executions with `options`.
-/// The warmup rounds let the registry/histograms and any per-call vectors
-/// reach their steady size first.
-uint64_t CountQueryAllocations(QueryExecutor& executor,
+/// Steady-state allocations of `rounds` query executions over `region`
+/// with `options`. The warmup rounds let the registry/histograms, the
+/// routing-tree cache and the executor's scratch reach their steady size.
+uint64_t CountQueryAllocations(QueryExecutor& executor, const Rect& region,
+                               bool use_snapshot,
                                const ExecutionOptions& options, int rounds) {
   for (int i = 0; i < 8; ++i) {
-    executor.ExecuteRegion(kAll, /*use_snapshot=*/true,
-                           AggregateFunction::kSum, options);
+    executor.ExecuteRegion(region, use_snapshot, AggregateFunction::kSum,
+                           options);
   }
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < rounds; ++i) {
-    executor.ExecuteRegion(kAll, /*use_snapshot=*/true,
-                           AggregateFunction::kSum, options);
+    executor.ExecuteRegion(region, use_snapshot, AggregateFunction::kSum,
+                           options);
   }
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+uint64_t CountQueryAllocations(QueryExecutor& executor,
+                               const ExecutionOptions& options, int rounds) {
+  return CountQueryAllocations(executor, kAll, /*use_snapshot=*/true, options,
+                               rounds);
 }
 
 TEST(ExplainAllocTest, NullProvenanceHookAddsNoAllocationsToQueryPath) {
@@ -132,10 +141,10 @@ TEST(ExplainAllocTest, NullProvenanceHookAddsNoAllocationsToQueryPath) {
   const uint64_t second = CountQueryAllocations(*b.executor, options, 64);
   EXPECT_EQ(first, second);
 
-  // ExecuteRegion allocates per round regardless (claims map, routing
-  // tree); what the guard promises is that NONE of those allocations are
-  // provenance-attributable when the hook is null. A fresh hook each round
-  // must therefore cost strictly more on the same workload.
+  // ExecuteRegion still allocates a fixed amount per round (the phase
+  // span's instrument names); what the guard promises is that NONE of the
+  // allocations are provenance-attributable when the hook is null. A fresh
+  // hook each round must therefore cost strictly more on the same workload.
   Net c = MakeNet();
   const uint64_t baseline = CountQueryAllocations(*c.executor, options, 64);
   Net d = MakeNet();
@@ -155,6 +164,30 @@ TEST(ExplainAllocTest, NullProvenanceHookAddsNoAllocationsToQueryPath) {
   }
   EXPECT_EQ(baseline, first);  // same workload, same steady-state cost
   EXPECT_GT(with_hook, baseline);  // the hook is where provenance pays
+}
+
+TEST(ExplainAllocTest, QueryAllocationsDoNotGrowWithRegionSize) {
+  // With null hooks a round's participation and claim pass work in the
+  // executor's reused scratch and a cached routing tree, so a one-node
+  // region and the whole network cost the same number of allocations:
+  // none are per responder, per router or per claim.
+  ExecutionOptions options;
+  options.charge_energy = true;
+  for (const bool use_snapshot : {true, false}) {
+    Net one = MakeNet();
+    Net all = MakeNet();
+    const QueryResult small = one.executor->ExecuteRegion(
+        kNodeThree, use_snapshot, AggregateFunction::kSum, options);
+    const QueryResult whole = all.executor->ExecuteRegion(
+        kAll, use_snapshot, AggregateFunction::kSum, options);
+    ASSERT_EQ(small.covered_nodes, 1u);
+    ASSERT_EQ(whole.covered_nodes, 4u);
+    EXPECT_EQ(CountQueryAllocations(*one.executor, kNodeThree, use_snapshot,
+                                    options, 64),
+              CountQueryAllocations(*all.executor, kAll, use_snapshot,
+                                    options, 64))
+        << "use_snapshot=" << use_snapshot;
+  }
 }
 
 }  // namespace

@@ -3,12 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/topology.h"
 
 namespace snapq {
 namespace {
+
+/// `id`'s path up to and including the sink, walked through parent();
+/// empty when unreachable.
+std::vector<NodeId> WalkToSink(const RoutingTree& tree, NodeId id) {
+  std::vector<NodeId> path;
+  if (!tree.IsReachable(id)) return path;
+  for (NodeId v = id; v != kInvalidNode; v = tree.parent(v)) {
+    path.push_back(v);
+  }
+  return path;
+}
 
 LinkModel Chain(size_t n, double range) {
   std::vector<Point> pts;
@@ -32,12 +44,12 @@ TEST(RoutingTreeTest, ChainBuildsLinearTree) {
   }
 }
 
-TEST(RoutingTreeTest, PathToSinkWalksParents) {
+TEST(RoutingTreeTest, ParentWalkEndsAtTheSink) {
   const LinkModel links = Chain(4, 1.0);
   const RoutingTree tree =
       RoutingTree::Build(links, std::vector<bool>(4, true), 0);
-  EXPECT_EQ(tree.PathToSink(3), (std::vector<NodeId>{3, 2, 1, 0}));
-  EXPECT_EQ(tree.PathToSink(0), (std::vector<NodeId>{0}));
+  EXPECT_EQ(WalkToSink(tree, 3), (std::vector<NodeId>{3, 2, 1, 0}));
+  EXPECT_EQ(WalkToSink(tree, 0), (std::vector<NodeId>{0}));
 }
 
 TEST(RoutingTreeTest, DeadNodePartitionsChain) {
@@ -49,7 +61,8 @@ TEST(RoutingTreeTest, DeadNodePartitionsChain) {
   EXPECT_FALSE(tree.IsReachable(2));
   EXPECT_FALSE(tree.IsReachable(3));
   EXPECT_FALSE(tree.IsReachable(4));
-  EXPECT_TRUE(tree.PathToSink(4).empty());
+  EXPECT_EQ(tree.parent(4), kInvalidNode);
+  EXPECT_TRUE(WalkToSink(tree, 4).empty());
 }
 
 TEST(RoutingTreeTest, DeadSinkReachesNothing) {
@@ -104,7 +117,7 @@ TEST(RoutingTreeTest, EveryLiveConnectedNodeGetsAParent) {
       RoutingTree::Build(links, std::vector<bool>(60, true), 7);
   for (NodeId i = 0; i < 60; ++i) {
     if (!tree.IsReachable(i)) continue;
-    const auto path = tree.PathToSink(i);
+    const auto path = WalkToSink(tree, i);
     ASSERT_FALSE(path.empty());
     EXPECT_EQ(path.front(), i);
     EXPECT_EQ(path.back(), 7u);
