@@ -38,9 +38,13 @@ LinkModel::LinkModel(std::vector<Point> positions, std::vector<double> ranges,
       loss_probability_(loss_probability),
       max_range_(MaxRange(ranges_)),
       index_(positions_, max_range_ > 0.0 ? max_range_ : 1.0),
-      version_(NextVersion()) {
+      version_(NextVersion()),
+      log_floor_(version_) {
   SNAPQ_CHECK_EQ(positions_.size(), ranges_.size());
   SNAPQ_CHECK(loss_probability_ >= 0.0 && loss_probability_ <= 1.0);
+  // Equal ranges make every link two-way: DistanceSquared is exactly
+  // symmetric (the differences only change sign).
+  for (const double r : ranges_) symmetric_ = symmetric_ && r == ranges_[0];
   const size_t n = positions_.size();
   // Ids must stay below the broadcast/invalid sentinels.
   SNAPQ_CHECK_LE(n, static_cast<size_t>(kBroadcastId));
@@ -122,12 +126,47 @@ void LinkModel::Compact() {
   std::fill(overlay_index_.begin(), overlay_index_.end(), -1);
 }
 
+void LinkModel::LogChange(NodeId id) {
+  if (log_.size() < kChangeLogCapacity) {
+    log_.push_back({version_, id});
+    return;
+  }
+  // Overwriting the oldest record loses a change that produced
+  // log_floor_'s successor state, so the log now starts at its version.
+  log_floor_ = log_[log_next_].version;
+  log_[log_next_] = {version_, id};
+  log_next_ = (log_next_ + 1) % kChangeLogCapacity;
+}
+
+bool LinkModel::ChangedSince(uint64_t since, std::vector<NodeId>* out) const {
+  if (since == version_) return true;
+  // Walk newest to oldest. Versions only grow along the log, so the walk
+  // stops at the first record at or before `since`: `since` is a state of
+  // this model iff that record carries it exactly (every SetPosition logs
+  // its mover), or the walk runs out with `since` as the floor.
+  const size_t size = log_.size();
+  const size_t first = out->size();
+  for (size_t k = 0; k < size; ++k) {
+    const ChangeRecord& record = log_[(log_next_ + size - 1 - k) % size];
+    if (record.version > since) {
+      out->push_back(record.node);
+      continue;
+    }
+    if (record.version == since) return true;
+    break;
+  }
+  if (since == log_floor_ && out->size() - first == size) return true;
+  out->resize(first);
+  return false;
+}
+
 void LinkModel::SetPosition(NodeId id, const Point& position) {
   SNAPQ_CHECK_LT(id, num_nodes());
   const Point old = positions_[id];
   positions_[id] = position;
   version_ = NextVersion();
   index_.Move(id, old, position);
+  LogChange(id);
 
   // Rebuild the mover's own row from the grid.
   std::vector<NodeId> row;
@@ -146,6 +185,7 @@ void LinkModel::SetPosition(NodeId id, const Point& position) {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
+  const double r2 = ranges_[id] * ranges_[id];
   for (const NodeId j : candidates) {
     const double rj = ranges_[j];
     const bool now_reachable =
@@ -153,6 +193,13 @@ void LinkModel::SetPosition(NodeId id, const Point& position) {
     const std::span<const NodeId> row_j = Reachable(j);
     const auto it = std::lower_bound(row_j.begin(), row_j.end(), id);
     const bool was_reachable = it != row_j.end() && *it == id;
+    // j's own row changes, or the mover's row gains or loses j: either
+    // way a link between the two changed.
+    const bool heard_before = DistanceSquared(old, positions_[j]) <= r2;
+    const bool heard_now = DistanceSquared(position, positions_[j]) <= r2;
+    if (now_reachable != was_reachable || heard_before != heard_now) {
+      LogChange(j);
+    }
     if (now_reachable == was_reachable) continue;
     std::vector<NodeId>& mutable_row = MutableRow(j);
     const auto mit =

@@ -59,6 +59,11 @@ class LinkModel {
   /// True iff `to` is within `from`'s transmission range.
   bool CanReach(NodeId from, NodeId to) const;
 
+  /// True when every node has the same range, so every link works both
+  /// ways: `to` is in Reachable(from) exactly when `from` is in
+  /// Reachable(to), and a two-way test needs no distance.
+  bool symmetric() const { return symmetric_; }
+
   /// Samples whether a transmission from->to is lost (true = lost).
   bool SampleLoss(NodeId from, NodeId to, Rng& rng) const;
 
@@ -81,6 +86,19 @@ class LinkModel {
   /// (routing trees) keyed on it.
   uint64_t version() const { return version_; }
 
+  /// Records the change log keeps; older changes are forgotten, so a
+  /// consumer more than about this many rewritten rows behind recomputes
+  /// from scratch.
+  static constexpr size_t kChangeLogCapacity = 4096;
+
+  /// Appends to `out` every node whose adjacency row, or whose link with a
+  /// moved node, changed after geometry `since` (ids may repeat): any
+  /// directed edge that differs from `since` has both endpoints listed.
+  /// Returns false, appending nothing, when the bounded log no longer
+  /// reaches back to `since` or `since` was never this model's geometry;
+  /// the consumer then recomputes from scratch.
+  bool ChangedSince(uint64_t since, std::vector<NodeId>* out) const;
+
   /// True if the undirected connectivity graph is connected (used by
   /// experiments to reject degenerate placements, §6.1 notes ranges below
   /// 0.2 often disconnect a 100-node network). Walks the stored adjacency
@@ -102,11 +120,14 @@ class LinkModel {
   void BuildRow(NodeId id, std::vector<NodeId>* out) const;
   /// Folds the overlay back into a fresh flat CSR array.
   void Compact();
+  /// Logs `id` as changed in the current version (see ChangedSince).
+  void LogChange(NodeId id);
 
   std::vector<Point> positions_;
   std::vector<double> ranges_;
   double loss_probability_;
   double max_range_ = 0.0;
+  bool symmetric_ = true;
   SpatialIndex index_;  // must follow positions_/ranges_ (init order)
 
   /// CSR adjacency: row i is adjacency_[row_offset_[i] ..
@@ -121,6 +142,18 @@ class LinkModel {
   std::vector<std::vector<NodeId>> overlay_rows_;
 
   uint64_t version_;
+
+  /// Bounded change log: one (version, node) record per node a
+  /// SetPosition changed, oldest first until it fills, then a ring whose
+  /// oldest record sits at log_next_. Every change after log_floor_ is
+  /// still in it.
+  struct ChangeRecord {
+    uint64_t version = 0;
+    NodeId node = kInvalidNode;
+  };
+  std::vector<ChangeRecord> log_;
+  size_t log_next_ = 0;
+  uint64_t log_floor_;
 
   /// Directed link overrides, keyed by from * num_nodes + to.
   std::unordered_map<uint64_t, double> link_loss_;

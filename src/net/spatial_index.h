@@ -18,7 +18,10 @@
 // ascending order, so the candidate stream for a given placement is a
 // pure function of the positions — independent of insertion order, hash
 // capacity or prior churn. Callers that need a fully id-sorted row (the
-// LinkModel adjacency invariant) sort the O(k) accepted candidates.
+// LinkModel adjacency invariant) sort the O(k) accepted candidates. The
+// one exception is a rectangle spanning more cells than are occupied
+// (ForEachCandidateInRect), which visits the occupied cells in creation
+// order; its callers sort what they keep.
 #ifndef SNAPQ_NET_SPATIAL_INDEX_H_
 #define SNAPQ_NET_SPATIAL_INDEX_H_
 
@@ -61,6 +64,36 @@ class SpatialIndex {
     const int32_t x1 = CellCoord(center.x + radius);
     const int32_t y0 = CellCoord(center.y - radius);
     const int32_t y1 = CellCoord(center.y + radius);
+    for (int32_t cy = y0; cy <= y1; ++cy) {
+      for (int32_t cx = x0; cx <= x1; ++cx) {
+        const std::vector<NodeId>* bucket = FindBucket(PackKey(cx, cy));
+        if (bucket == nullptr) continue;
+        for (const NodeId id : *bucket) fn(id);
+      }
+    }
+  }
+
+  /// Invokes fn(id) for every node whose cell intersects the closed
+  /// rectangle `rect` — a candidate superset of the nodes `rect` contains;
+  /// callers test Rect::Contains. Cells are visited row-major, except
+  /// that a rectangle spanning more cells than are occupied (EVERYWHERE's
+  /// +/-1e300, say) scans the occupied cells instead, in creation order.
+  /// A rectangle with a NaN or inverted bound contains nothing.
+  template <typename Fn>
+  void ForEachCandidateInRect(const Rect& rect, Fn&& fn) const {
+    if (!(rect.min_x <= rect.max_x && rect.min_y <= rect.max_y)) return;
+    const int32_t x0 = CellCoord(rect.min_x);
+    const int32_t x1 = CellCoord(rect.max_x);
+    const int32_t y0 = CellCoord(rect.min_y);
+    const int32_t y1 = CellCoord(rect.max_y);
+    const double cells = (static_cast<double>(x1) - x0 + 1.0) *
+                         (static_cast<double>(y1) - y0 + 1.0);
+    if (cells > static_cast<double>(buckets_.size())) {
+      for (const std::vector<NodeId>& bucket : buckets_) {
+        for (const NodeId id : bucket) fn(id);
+      }
+      return;
+    }
     for (int32_t cy = y0; cy <= y1; ++cy) {
       for (int32_t cx = x0; cx <= x1; ++cx) {
         const std::vector<NodeId>* bucket = FindBucket(PackKey(cx, cy));

@@ -30,6 +30,7 @@
 #ifndef SNAPQ_OBS_METRIC_REGISTRY_H_
 #define SNAPQ_OBS_METRIC_REGISTRY_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -101,6 +102,8 @@ class Histogram {
 /// for node-labeled instruments. Used by snapshots and the exporters.
 std::string LabeledName(const std::string& name, NodeId node);
 
+class Span;
+
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -152,6 +155,16 @@ class MetricRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, std::map<NodeId, Gauge>> node_gauges_;
   std::map<std::string, Histogram> histograms_;
+
+  friend class Span;
+  /// Span's "<phase>.wall_us" and "<phase>.sim_ticks" handles, one pair
+  /// per ProfPhase, resolved by the phase's first span that records each.
+  static constexpr size_t kSpanPhases = 3;
+  struct SpanHistograms {
+    Histogram* wall_us = nullptr;
+    Histogram* sim_ticks = nullptr;
+  };
+  std::array<SpanHistograms, kSpanPhases> span_histograms_{};
 };
 
 /// Process-wide registry for cross-run aggregation: experiment drivers

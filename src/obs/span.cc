@@ -61,12 +61,21 @@ void Span::End() {
   const double wall_us = std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - wall_start_)
                              .count();
-  const std::string name = Name(phase_);
-  registry_.GetHistogram(name + ".wall_us", WallMicrosBounds())
-      ->Observe(wall_us);
+  static_assert(MetricRegistry::kSpanPhases ==
+                static_cast<size_t>(ProfPhase::kCount));
+  MetricRegistry::SpanHistograms& handles =
+      registry_.span_histograms_[static_cast<size_t>(phase_)];
+  if (handles.wall_us == nullptr) {
+    handles.wall_us = registry_.GetHistogram(
+        std::string(Name(phase_)) + ".wall_us", WallMicrosBounds());
+  }
+  handles.wall_us->Observe(wall_us);
   if (sim_marked) {
-    registry_.GetHistogram(name + ".sim_ticks", SimTicksBounds())
-        ->Observe(static_cast<double>(sim_end_ - sim_start_));
+    if (handles.sim_ticks == nullptr) {
+      handles.sim_ticks = registry_.GetHistogram(
+          std::string(Name(phase_)) + ".sim_ticks", SimTicksBounds());
+    }
+    handles.sim_ticks->Observe(static_cast<double>(sim_end_ - sim_start_));
   }
 }
 

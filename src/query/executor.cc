@@ -1,9 +1,11 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -33,10 +35,17 @@ QueryExecutor::QueryExecutor(
   SNAPQ_CHECK(sim != nullptr && agents != nullptr);
   const size_t n = agents->size();
   SNAPQ_CHECK_EQ(sim->num_nodes(), n);
-  matching_.assign(n, false);
+  const size_t words = (n + 63) / 64;
+  matching_.words.assign(words, 0);
+  matched_.reserve(n);
+  sorter_.words.assign(words, 0);
   alive_.assign(n, false);
+  for (NodeId i = 0; i < n; ++i) alive_[i] = sim->alive(i);
+  deaths_seen_ = sim->deaths().size();
+  awake_.assign(n, false);
+  sleep_.assign(n, false);
   favor_.assign(n, false);
-  on_path_.assign(n, 0);
+  on_path_.words.assign(words, 0);
   claims_.assign(n, QueryClaim{});
 }
 
@@ -71,45 +80,90 @@ Result<QueryResult> QueryExecutor::Execute(const QuerySpec& spec,
                        options);
 }
 
-void QueryExecutor::CollectResponders(bool use_snapshot,
-                                      std::vector<NodeId>* out) const {
-  const size_t n = agents_->size();
-  for (NodeId i = 0; i < n; ++i) {
-    if (!sim_->alive(i)) continue;
-    const SnapshotAgent& agent = *(*agents_)[i];
-    const bool in_region = matching_[i];
-    if (!use_snapshot) {
-      if (in_region) out->push_back(i);
-      continue;
-    }
-    // Snapshot rule (§3.1): respond when (i) not represented and matching,
-    // or (ii) representing a matching node.
-    if (in_region && agent.mode() != NodeMode::kPassive) {
-      out->push_back(i);
-      continue;
-    }
-    for (const auto& [j, e] : agent.represents()) {
-      if (matching_[j]) {
-        out->push_back(i);
-        break;
-      }
+void QueryExecutor::NodeBits::AppendTo(std::vector<NodeId>* out) const {
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+      out->push_back(static_cast<NodeId>(
+          w * 64 + static_cast<size_t>(std::countr_zero(bits))));
     }
   }
 }
 
-const RoutingTree& QueryExecutor::TreeFor(NodeId sink, bool favored) const {
-  const uint64_t version = sim_->links().version();
-  for (const CachedTree& entry : trees_) {
-    if (entry.sink == sink && entry.links_version == version &&
-        entry.favored == favored && entry.alive == alive_ &&
-        (!favored || entry.favor == favor_)) {
-      return entry.tree;
+void QueryExecutor::SortIds(std::vector<NodeId>* ids) const {
+  for (const NodeId i : *ids) sorter_.Set(i);
+  ids->clear();
+  sorter_.AppendTo(ids);
+  for (const NodeId i : *ids) sorter_.Clear(i);
+}
+
+void QueryExecutor::CollectResponders(bool use_snapshot,
+                                      std::vector<NodeId>* out) const {
+  out->clear();
+  for (const NodeId j : matched_) {
+    if (sim_->alive(j) &&
+        (!use_snapshot || (*agents_)[j]->mode() != NodeMode::kPassive)) {
+      out->push_back(j);
+    }
+    if (!use_snapshot) continue;
+    // Snapshot rule (§3.1): a live node also responds when it represents
+    // a matching node, dead or alive.
+    sim_->representation().ForEachRep(j, [&](NodeId r) {
+      if (sim_->alive(r)) out->push_back(r);
+    });
+  }
+  if (use_snapshot) SortIds(out);  // matched_ is ascending already
+}
+
+const RoutingTree& QueryExecutor::TreeFor(NodeId sink, bool sleeping,
+                                          bool favored) const {
+  const LinkModel& links = sim_->links();
+  const uint64_t version = links.version();
+  const std::span<const NodeId> deaths = sim_->deaths();
+  // The cache keeps one entry per (sink, sleeping, favored); a rebuild
+  // for new sleep or favor bits replaces it.
+  CachedTree* same = nullptr;
+  for (CachedTree& entry : trees_) {
+    if (entry.sink == sink && entry.sleeping == sleeping &&
+        entry.favored == favored) {
+      same = &entry;
+      break;
     }
   }
-  CachedTree fresh{sink, version, favored, alive_,
+  // Same sleepers and favor bits: the entry differs at most in geometry
+  // and deaths.
+  const bool same_bits = same != nullptr &&
+                         (!sleeping || same->sleep == sleep_) &&
+                         (!favored || same->favor == favor_);
+  if (same_bits && same->links_version == version &&
+      same->deaths == deaths.size()) {
+    ++route_stats_.hits;
+    return same->tree;
+  }
+  const std::vector<bool>& routable = sleeping ? awake_ : alive_;
+  const std::vector<bool>* favor = favored ? &favor_ : nullptr;
+  changed_.clear();
+  if (same_bits && links.ChangedSince(same->links_version, &changed_)) {
+    SNAPQ_DCHECK(same->deaths <= deaths.size());
+    same->tree.Repair(links, routable, changed_, deaths.subspan(same->deaths),
+                      favor, &repair_scratch_);
+    same->links_version = version;
+    same->deaths = deaths.size();
+    ++route_stats_.repairs;
+    return same->tree;
+  }
+  ++route_stats_.builds;
+  CachedTree fresh{sink,
+                   version,
+                   deaths.size(),
+                   sleeping,
+                   favored,
+                   sleeping ? sleep_ : std::vector<bool>{},
                    favored ? favor_ : std::vector<bool>{},
-                   RoutingTree::Build(sim_->links(), alive_, sink,
-                                      favored ? &favor_ : nullptr)};
+                   RoutingTree::Build(links, routable, sink, favor)};
+  if (same != nullptr) {
+    *same = std::move(fresh);
+    return same->tree;
+  }
   if (trees_.size() < kTreeCacheCapacity) {
     trees_.push_back(std::move(fresh));
     return trees_.back().tree;
@@ -121,24 +175,33 @@ const RoutingTree& QueryExecutor::TreeFor(NodeId sink, bool favored) const {
 }
 
 const RoutingTree& QueryExecutor::PlanParticipation(
-    const Rect& region, bool use_snapshot, const ExecutionOptions& options,
-    size_t* matching_nodes) const {
+    const Rect& region, bool use_snapshot,
+    const ExecutionOptions& options) const {
   const size_t n = agents_->size();
   SNAPQ_CHECK_LT(options.sink, n);
+  const LinkModel& links = sim_->links();
 
   // Coverage denominator: every placed node matching the predicate (dead
-  // included — an infinite-battery network would have heard them all).
-  *matching_nodes = 0;
-  for (NodeId i = 0; i < n; ++i) {
-    matching_[i] = region.Contains(sim_->links().position(i));
-    if (matching_[i]) ++*matching_nodes;
-  }
+  // included — an infinite-battery network would have heard them all),
+  // found through the grid and kept in ascending id order.
+  for (const NodeId j : matched_) matching_.Clear(j);
+  matched_.clear();
+  links.spatial_index().ForEachCandidateInRect(region, [&](NodeId i) {
+    if (region.Contains(links.position(i))) matching_.Set(i);
+  });
+  matching_.AppendTo(&matched_);
 
-  for (NodeId i = 0; i < n; ++i) {
-    alive_[i] = sim_->alive(i);
-    if (use_snapshot && options.passive_nodes_sleep && i != options.sink &&
-        (*agents_)[i]->mode() == NodeMode::kPassive) {
-      alive_[i] = false;  // sleeping: neither responds nor routes
+  const std::span<const NodeId> deaths = sim_->deaths();
+  for (; deaths_seen_ < deaths.size(); ++deaths_seen_) {
+    alive_[deaths[deaths_seen_]] = false;
+  }
+  const bool sleeping = use_snapshot && options.passive_nodes_sleep;
+  if (sleeping) {
+    for (NodeId i = 0; i < n; ++i) {
+      // Sleeping passive nodes neither respond nor route; the sink stays.
+      sleep_[i] = i != options.sink &&
+                  (*agents_)[i]->mode() == NodeMode::kPassive;
+      awake_[i] = alive_[i] && !sleep_[i];
     }
   }
   if (options.favor_representatives) {
@@ -147,9 +210,8 @@ const RoutingTree& QueryExecutor::PlanParticipation(
     }
   }
   const RoutingTree& tree =
-      TreeFor(options.sink, options.favor_representatives);
+      TreeFor(options.sink, sleeping, options.favor_representatives);
 
-  reachable_.clear();
   CollectResponders(use_snapshot, &reachable_);
   // A responder the flood never reaches never hears the request.
   std::erase_if(reachable_,
@@ -158,16 +220,15 @@ const RoutingTree& QueryExecutor::PlanParticipation(
   // Participants: reachable responders plus the routers on their paths
   // (the paper counts routing nodes as participants). Each walk stops at
   // the first node an earlier walk marked, so the pass is O(participants).
-  for (NodeId i : participants_) on_path_[i] = 0;
+  for (NodeId i : participants_) on_path_.Clear(i);
   participants_.clear();
   for (NodeId r : reachable_) {
-    for (NodeId v = r; v != kInvalidNode && on_path_[v] == 0;
+    for (NodeId v = r; v != kInvalidNode && !on_path_.Test(v);
          v = tree.parent(v)) {
-      on_path_[v] = 1;
-      participants_.push_back(v);
+      on_path_.Set(v);
     }
   }
-  std::sort(participants_.begin(), participants_.end());
+  on_path_.AppendTo(&participants_);
   return tree;
 }
 
@@ -188,8 +249,8 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   Simulator::TraceScope trace_scope(*sim_, qroot);
   QueryResult result;
 
-  const RoutingTree& tree =
-      PlanParticipation(region, use_snapshot, options, &result.matching_nodes);
+  const RoutingTree& tree = PlanParticipation(region, use_snapshot, options);
+  result.matching_nodes = matched_.size();
   result.participants = participants_.size();
   result.responders = reachable_.size();
   if (qroot.sampled()) {
@@ -224,7 +285,7 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   // kQueryReply transmissions this round induces: one per participant, the
   // sink excluded (it hands the result to the base station radio-free).
   const size_t replies =
-      result.participants - (on_path_[options.sink] != 0 ? 1u : 0u);
+      result.participants - (on_path_.Test(options.sink) ? 1u : 0u);
 
   if (options.charge_energy) {
     // One transmission per participant: its partial aggregate / row batch
@@ -310,8 +371,8 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
     for (NodeId j : claimed_) agg.AddValue(claims_[j].value);
     result.aggregate = agg.Finalize();
     PartialAggregate truth(aggregate);
-    for (NodeId i = 0; i < n; ++i) {
-      if (matching_[i]) truth.AddValue((*agents_)[i]->measurement());
+    for (const NodeId j : matched_) {
+      truth.AddValue((*agents_)[j]->measurement());
     }
     result.true_aggregate = truth.Finalize();
   } else {
@@ -366,20 +427,20 @@ void QueryExecutor::CollectClaims(bool use_snapshot) const {
   };
   for (NodeId r : reachable_) {
     const SnapshotAgent& agent = *(*agents_)[r];
-    if (matching_[r] &&
+    if (matching_.Test(r) &&
         (!use_snapshot || agent.mode() != NodeMode::kPassive)) {
       offer(r, QueryClaim{r, kQueryClaimSelfEpoch, agent.measurement(),
                           false});
     }
     if (!use_snapshot) continue;
     for (const auto& [j, e] : agent.represents()) {
-      if (!matching_[j]) continue;
+      if (!matching_.Test(j)) continue;
       const std::optional<double> estimate = agent.EstimateFor(j);
       if (!estimate.has_value()) continue;
       offer(j, QueryClaim{r, e, *estimate, true});
     }
   }
-  std::sort(claimed_.begin(), claimed_.end());
+  SortIds(&claimed_);
 }
 
 std::map<NodeId, QueryClaim> QueryExecutor::ClaimMap() const {
@@ -395,8 +456,8 @@ QueryProvenance QueryExecutor::PlanRegion(
   // the actuals must only diverge when the snapshot state itself changes
   // between planning and execution.
   QueryProvenance plan;
-  const RoutingTree& tree =
-      PlanParticipation(region, use_snapshot, options, &plan.matching_nodes);
+  const RoutingTree& tree = PlanParticipation(region, use_snapshot, options);
+  plan.matching_nodes = matched_.size();
   for (NodeId r : reachable_) {
     plan.tree_depth = std::max(plan.tree_depth, tree.depth(r));
   }
@@ -404,7 +465,7 @@ QueryProvenance QueryExecutor::PlanRegion(
   plan.responders = reachable_.size();
   plan.reachable_nodes = tree.CountReachable();
   plan.messages =
-      plan.participants - (on_path_[options.sink] != 0 ? 1u : 0u);
+      plan.participants - (on_path_.Test(options.sink) ? 1u : 0u);
   plan.energy = options.charge_energy
                     ? sim_->config().energy.tx_cost *
                           static_cast<double>(plan.messages)

@@ -192,22 +192,46 @@ class QueryExecutor {
     return *agents_;
   }
 
+  /// How rounds obtained their routing tree: a cache hit, a repair of the
+  /// sink's cached tree, or a build from scratch.
+  struct RouteStats {
+    uint64_t hits = 0;
+    uint64_t repairs = 0;
+    uint64_t builds = 0;
+  };
+  const RouteStats& route_stats() const { return route_stats_; }
+
  private:
-  /// Routing trees kept for reuse. Four covers a gateway per query sink
-  /// in the served workloads; the rest absorbs the per-sink variants
-  /// (passive sleep, favored routing) that alternate between rounds.
+  /// Routing trees kept for reuse, at most one per (sink, sleeping,
+  /// favored). Four covers a gateway per query sink in the served
+  /// workloads; the rest absorbs the per-sink variants (passive sleep,
+  /// favored routing) that alternate between rounds.
   static constexpr size_t kTreeCacheCapacity = 8;
 
   /// One cached tree and the full key it is a pure function of: the sink,
-  /// the radio geometry (LinkModel::version()), the routing-alive set
-  /// (passive sleepers already masked out) and the favor bits, if any.
+  /// the radio geometry (LinkModel::version()), the alive set (the length
+  /// of Simulator::deaths(): batteries never refill), the passive
+  /// sleepers when they sleep, and the favor bits, if any.
   struct CachedTree {
     NodeId sink = kInvalidNode;
     uint64_t links_version = 0;
+    size_t deaths = 0;
+    bool sleeping = false;
     bool favored = false;
-    std::vector<bool> alive;
+    std::vector<bool> sleep;
     std::vector<bool> favor;
     RoutingTree tree;
+  };
+
+  /// A set of node ids as a bitmap: O(1) insert and test, and listed in
+  /// ascending id order in O(n/64 + size), with no sort.
+  struct NodeBits {
+    std::vector<uint64_t> words;
+    bool Test(NodeId i) const { return ((words[i >> 6] >> (i & 63)) & 1) != 0; }
+    void Set(NodeId i) { words[i >> 6] |= uint64_t{1} << (i & 63); }
+    void Clear(NodeId i) { words[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
+    /// Appends the members to `out` in ascending order.
+    void AppendTo(std::vector<NodeId>* out) const;
   };
 
   /// Registry instruments, resolved on first use (so a network that never
@@ -222,23 +246,28 @@ class QueryExecutor {
     std::vector<obs::Counter*> energy_tx;  ///< per node, on first charge
   };
 
-  /// The participation pass shared by ExecuteRegion and PlanRegion: counts
-  /// the nodes matching `region` into matching_, fetches the round's
-  /// routing tree, and fills reachable_ (responders that can reach the
-  /// sink) and participants_ (those plus the routers on their paths,
-  /// ascending id). Returns the tree; `matching_nodes` gets the count.
+  /// The participation pass shared by ExecuteRegion and PlanRegion: lists
+  /// the nodes matching `region` in matched_ (and flags them in
+  /// matching_), fetches the round's routing tree, and fills reachable_
+  /// (responders that can reach the sink) and participants_ (those plus
+  /// the routers on their paths, ascending id). Returns the tree.
   const RoutingTree& PlanParticipation(const Rect& region, bool use_snapshot,
-                                       const ExecutionOptions& options,
-                                       size_t* matching_nodes) const;
+                                       const ExecutionOptions& options) const;
 
-  /// The routing tree for `sink` over alive_ (and favor_ when
-  /// `favored`): a cache hit when the key matches an entry, else a fresh
-  /// RoutingTree::Build replacing the oldest entry.
-  const RoutingTree& TreeFor(NodeId sink, bool favored) const;
+  /// The routing tree for `sink` over the live nodes (less the sleepers
+  /// in sleep_ when `sleeping`, with favor_ when `favored`): a cache hit
+  /// when the key matches the entry, else that entry repaired from the
+  /// links' change log and the deaths since when its sleep and favor bits
+  /// still hold, else a fresh RoutingTree::Build.
+  const RoutingTree& TreeFor(NodeId sink, bool sleeping, bool favored) const;
 
-  /// Appends the live nodes that respond to a query over the region in
-  /// matching_, per the snapshot rule, to `out` in ascending id order.
+  /// Sets `out` to the live nodes that respond to a query over matched_,
+  /// per the snapshot rule, in ascending id order. Visits only matched_
+  /// and their representatives (Simulator::representation()).
   void CollectResponders(bool use_snapshot, std::vector<NodeId>* out) const;
+
+  /// Sorts `ids` ascending and drops repeats, through sorter_.
+  void SortIds(std::vector<NodeId>* ids) const;
 
   /// Deduplicates claims from reachable_ over matching_ by latest election
   /// epoch (spurious-representative filtering, §3) into claims_, and lists
@@ -255,12 +284,22 @@ class QueryExecutor {
   Instruments instruments_;
 
   // Per-round scratch, reused so a round allocates nothing that grows with
-  // the region (see explain_alloc_test). The bit vectors, on_path_ and
-  // claims_ are indexed by node id; the other three list node ids.
-  mutable std::vector<bool> matching_;
+  // the region (see explain_alloc_test). The bit sets and claims_ are
+  // indexed by node id; the lists hold node ids, ascending. A bit set is
+  // cleared through its list before the next round fills it.
+  mutable NodeBits matching_;
+  mutable std::vector<NodeId> matched_;  ///< capacity n
+  /// Empty between uses; SortIds lists ids through it.
+  mutable NodeBits sorter_;
+  /// The live nodes: alive at construction, less Simulator::deaths() up
+  /// to deaths_seen_.
   mutable std::vector<bool> alive_;
+  mutable size_t deaths_seen_ = 0;
+  /// alive_ less the sleeping passive nodes, for sleeping rounds.
+  mutable std::vector<bool> awake_;
+  mutable std::vector<bool> sleep_;
   mutable std::vector<bool> favor_;
-  mutable std::vector<uint8_t> on_path_;
+  mutable NodeBits on_path_;
   mutable std::vector<NodeId> reachable_;
   mutable std::vector<NodeId> participants_;
   /// Winning claim per node; only the entries listed in claimed_ are live.
@@ -269,6 +308,9 @@ class QueryExecutor {
 
   mutable std::vector<CachedTree> trees_;
   mutable size_t next_evict_ = 0;
+  mutable std::vector<NodeId> changed_;
+  mutable RoutingTree::RepairScratch repair_scratch_;
+  mutable RouteStats route_stats_;
 };
 
 }  // namespace snapq

@@ -4,9 +4,17 @@
 // deterministically over the live bidirectional-connectivity graph —
 // requests travel sink->leaves, replies and partial aggregates travel back
 // up the same edges, so links must work both ways.
+//
+// TAG builds the tree once and then maintains it; so does Repair() here.
+// A built tree and a repaired one are the same pure function of (graph,
+// alive set, sink, favor bits): depth is the hop distance, and a node's
+// parent is its best two-way neighbour one layer up — favored first, then
+// the smallest id.
 #ifndef SNAPQ_QUERY_ROUTING_TREE_H_
 #define SNAPQ_QUERY_ROUTING_TREE_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/link_model.h"
@@ -28,6 +36,38 @@ class RoutingTree {
   static RoutingTree Build(const LinkModel& links,
                            const std::vector<bool>& alive, NodeId sink,
                            const std::vector<bool>* favor = nullptr);
+
+  /// Working memory Repair reuses between calls, so a warm repair
+  /// allocates nothing.
+  struct RepairScratch {
+    struct Moved {
+      NodeId node = kInvalidNode;
+      int old_depth = -1;
+    };
+    std::vector<uint8_t> mark;  ///< per node; zero between repairs
+    std::vector<NodeId> marked;
+    std::vector<std::vector<NodeId>> buckets;  ///< by depth
+    std::vector<NodeId> raised;
+    std::vector<Moved> moved;  ///< nodes whose depth was rewritten, once
+  };
+
+  /// Brings this tree up to date with `links`, `alive` and the same sink
+  /// and favor bits it was built for, touching only what changed:
+  ///
+  ///  * `changed`: every node with a link that differs from the tree's
+  ///    graph (LinkModel::ChangedSince; repeats allowed);
+  ///  * `died`: every node alive for the tree's build and not in `alive`
+  ///    (nodes never come back: `alive` may only shrink).
+  ///
+  /// The result equals Build(links, alive, sink(), favor) bit for bit.
+  /// Depths first rise for nodes that lost every two-way neighbour one
+  /// layer up (increasing depth), then fall by a bucketed BFS from the
+  /// changed nodes and the border of the risen set; parents are then
+  /// recomputed wherever a row, a liveness, a depth or a neighbour's
+  /// depth changed.
+  void Repair(const LinkModel& links, const std::vector<bool>& alive,
+              std::span<const NodeId> changed, std::span<const NodeId> died,
+              const std::vector<bool>* favor, RepairScratch* scratch);
 
   NodeId sink() const { return sink_; }
 
@@ -51,6 +91,11 @@ class RoutingTree {
  private:
   RoutingTree(NodeId sink, std::vector<NodeId> parent, std::vector<int> depth)
       : sink_(sink), parent_(std::move(parent)), depth_(std::move(depth)) {}
+
+  /// The parent rule: `v`'s best two-way neighbour one layer up (favored
+  /// first, then the smallest id); kInvalidNode at depth <= 0.
+  NodeId BestParent(const LinkModel& links, NodeId v,
+                    const std::vector<bool>* favor) const;
 
   NodeId sink_;
   std::vector<NodeId> parent_;

@@ -13,7 +13,8 @@ Simulator::Simulator(std::vector<Point> positions, std::vector<double> ranges,
              config.loss_probability),
       config_(config),
       metrics_(&registry_),
-      rng_(config.seed) {
+      rng_(config.seed),
+      representation_(links_.num_nodes()) {
   const size_t n = links_.num_nodes();
   batteries_.assign(n, Battery(config_.energy.initial_battery));
   handlers_.resize(n);
@@ -64,6 +65,7 @@ int Simulator::RootSlotOf(const TraceContext& ctx) const {
 }
 
 void Simulator::OnNodeDeath(NodeId id, const char* cause) {
+  deaths_.push_back(id);
   metrics_.CountNodeDeath();
   if (energy_ledger_ != nullptr) {
     energy_ledger_->RecordDeath(id, queue_.now());

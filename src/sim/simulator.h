@@ -16,6 +16,7 @@
 #include <array>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,6 +32,7 @@
 #include "obs/tracer.h"
 #include "sim/event_queue.h"
 #include "sim/metrics.h"
+#include "sim/representation_index.h"
 
 namespace snapq {
 
@@ -89,6 +91,11 @@ class Simulator {
 
   bool alive(NodeId id) const { return batteries_[id].alive(); }
   const Battery& battery(NodeId id) const { return batteries_[id]; }
+  /// Every node that died since construction, in order of death. A
+  /// battery never refills, so the nodes alive now are those alive at
+  /// construction minus this list, and its length identifies the alive
+  /// set (the query layer keys cached routing trees on it).
+  std::span<const NodeId> deaths() const { return deaths_; }
   /// Forced node failure (failure injection in tests/experiments). The
   /// discarded charge is attributed to the ledger's "killed" cause so the
   /// conservation invariant survives failure injection.
@@ -122,6 +129,13 @@ class Simulator {
   /// named instruments here (the Metrics façade above is backed by it).
   obs::MetricRegistry& registry() { return registry_; }
   const obs::MetricRegistry& registry() const { return registry_; }
+
+  /// Who represents whom: the snapshot agents keep it in step with their
+  /// represents() maps; the query layer reads it.
+  RepresentationIndex& representation() { return representation_; }
+  const RepresentationIndex& representation() const {
+    return representation_;
+  }
 
   /// The structured event journal. Disabled (null sink) by default;
   /// attach a sink to record protocol events as JSONL.
@@ -228,6 +242,8 @@ class Simulator {
   std::vector<Battery> batteries_;
   std::vector<MessageHandler> handlers_;
   std::vector<uint64_t> sent_by_;
+  std::vector<NodeId> deaths_;
+  RepresentationIndex representation_;
   /// Owns every delivery record ever created; free_deliveries_ holds the
   /// currently idle ones. Records are stable on the heap (unique_ptr) so
   /// scheduled closures can carry raw pointers across heap sifts.

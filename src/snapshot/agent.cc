@@ -49,6 +49,21 @@ SnapshotView::NodeInfo SnapshotAgent::Info() const {
 // Model building
 // ---------------------------------------------------------------------------
 
+void SnapshotAgent::SetRepresents(NodeId j, std::optional<int64_t> epoch) {
+  if (epoch.has_value()) {
+    represents_[j] = *epoch;
+    sim_->representation().Add(j, id_);
+  } else if (represents_.erase(j) > 0) {
+    sim_->representation().Remove(j, id_);
+  }
+}
+
+void SnapshotAgent::ReleaseMembers() {
+  while (!represents_.empty()) {
+    SetRepresents(represents_.begin()->first, std::nullopt);
+  }
+}
+
 void SnapshotAgent::ObserveNeighbor(NodeId j, double value) {
   models_.Observe(j, value, sim_->now());
   sim_->ChargeCacheOp(id_);
@@ -63,7 +78,7 @@ void SnapshotAgent::BeginElection(Time t0) {
   sim_->ScheduleAt(t0, [this] {
     if (!sim_->alive(id_)) return;
     // Network-wide discovery: representation state starts from scratch.
-    represents_.clear();
+    ReleaseMembers();
     prior_rep_ = kInvalidNode;
     resigned_ = false;
     StartElectionRound(sim_->now());
@@ -229,7 +244,7 @@ void SnapshotAgent::RunSelection() {
 
 void SnapshotAgent::OnAccept(const Message& msg) {
   if (mode_ == NodeMode::kPassive) return;  // passive nodes never represent
-  represents_[msg.from] = msg.epoch;
+  SetRepresents(msg.from, msg.epoch);
 }
 
 void SnapshotAgent::ScheduleRefinement(Time t) {
@@ -337,7 +352,7 @@ void SnapshotAgent::SendRecall(NodeId old_rep) {
 }
 
 void SnapshotAgent::OnRecall(const Message& msg) {
-  represents_.erase(msg.from);
+  SetRepresents(msg.from, std::nullopt);
 }
 
 void SnapshotAgent::OnStayActive(const Message& msg) {
@@ -347,7 +362,7 @@ void SnapshotAgent::OnStayActive(const Message& msg) {
     return;
   }
   // Heal a lost Accept: a StayActive implies the sender elected us.
-  represents_.insert({msg.from, msg.epoch});
+  if (!represents_.contains(msg.from)) SetRepresents(msg.from, msg.epoch);
   BecomeActive();
   // Skip the ack only when a broadcast covering this sender went out in
   // this very time unit — the sender will hear it (its StayActive merely
@@ -411,7 +426,7 @@ void SnapshotAgent::OnRepAck(const Message& msg) {
     // acknowledges representing j at a newer epoch, our claim is stale.
     const auto it = represents_.find(j);
     if (it != represents_.end() && msg.from != id_ && e > it->second) {
-      represents_.erase(it);
+      SetRepresents(j, std::nullopt);
     }
   }
 }
@@ -442,7 +457,7 @@ void SnapshotAgent::MaintenanceTick() {
                 "members", static_cast<int64_t>(represents_.size()));
           });
       sim_->Send(msg);
-      represents_.clear();
+      ReleaseMembers();
       rounds_served_ = 0;
       cooldown_rounds_ = config_.rotation_cooldown;
     }
@@ -470,7 +485,7 @@ void SnapshotAgent::MaintenanceTick() {
           });
       sim_->Send(msg);
       resigned_ = true;
-      represents_.clear();
+      ReleaseMembers();
     }
   }
 
@@ -520,7 +535,8 @@ void SnapshotAgent::OnHeartbeat(const Message& msg, bool snooped) {
     ObserveNeighbor(msg.from, msg.value);
     return;
   }
-  represents_.insert({msg.from, msg.epoch});  // heal a lost Accept
+  // Heal a lost Accept.
+  if (!represents_.contains(msg.from)) SetRepresents(msg.from, msg.epoch);
   // Record the *pre-update* estimate so the accuracy check is honest, then
   // fine-tune the model with the reported value (§3). All heartbeats of a
   // round are answered with one batched broadcast — a representative with
@@ -602,7 +618,7 @@ void SnapshotAgent::CheckHeartbeatReply(int64_t sent_epoch) {
 }
 
 void SnapshotAgent::OnResign(const Message& msg) {
-  represents_.erase(msg.from);
+  SetRepresents(msg.from, std::nullopt);
   if (rep_ == msg.from && mode_ == NodeMode::kPassive) {
     BeginLocalReelection();
   }

@@ -123,6 +123,13 @@ class SnapshotAgent {
   void OnHeartbeatReply(const Message& msg);
   void OnResign(const Message& msg);
 
+  /// The one write path to represents_: records member `j` at `epoch`
+  /// (replacing its entry), or drops it when `epoch` is empty, and keeps
+  /// the simulator's representation index in step.
+  void SetRepresents(NodeId j, std::optional<int64_t> epoch);
+  /// Drops every member through SetRepresents.
+  void ReleaseMembers();
+
   /// Feeds a heard neighbor value into the model cache (and charges the
   /// cache-maintenance CPU cost).
   void ObserveNeighbor(NodeId j, double value);

@@ -150,5 +150,97 @@ TEST(LinkModelPropertyTest, OverlayCompactionKeepsRowsIdentical) {
   ExpectRowsEqual(lm, BruteAdjacency(positions, ranges), "compaction", 0);
 }
 
+std::vector<std::vector<NodeId>> Rows(const LinkModel& lm) {
+  std::vector<std::vector<NodeId>> rows;
+  for (NodeId i = 0; i < lm.num_nodes(); ++i) {
+    const std::span<const NodeId> row = lm.Reachable(i);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
+}
+
+TEST(LinkModelPropertyTest, ChangeLogListsBothEndsOfEveryChangedLink) {
+  // Asymmetric ranges, so a move can change a link one way only: the log
+  // must still name both of its ends, for every version still covered.
+  Rng rng(2024);
+  const size_t n = 120;
+  std::vector<Point> positions;
+  std::vector<double> ranges;
+  for (size_t i = 0; i < n; ++i) {
+    positions.push_back({rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)});
+    ranges.push_back(rng.UniformDouble(0.08, 0.25));
+  }
+  LinkModel lm(positions, ranges, 0.0);
+  std::vector<uint64_t> versions{lm.version()};
+  std::vector<std::vector<std::vector<NodeId>>> snapshots{Rows(lm)};
+  for (int step = 0; step < 40; ++step) {
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(0, n - 1));
+    const Point p = lm.position(v);
+    lm.SetPosition(v, rng.Bernoulli(0.5)
+                          ? Point{rng.UniformDouble(0, 1),
+                                  rng.UniformDouble(0, 1)}
+                          : Point{p.x + rng.UniformDouble(-0.05, 0.05),
+                                  p.y + rng.UniformDouble(-0.05, 0.05)});
+    versions.push_back(lm.version());
+    snapshots.push_back(Rows(lm));
+    const std::vector<std::vector<NodeId>> now = snapshots.back();
+    for (size_t back = 0; back < versions.size(); ++back) {
+      std::vector<NodeId> changed;
+      ASSERT_TRUE(lm.ChangedSince(versions[back], &changed));
+      std::vector<bool> listed(n, false);
+      for (const NodeId c : changed) listed[c] = true;
+      const std::vector<std::vector<NodeId>>& then = snapshots[back];
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = 0; b < n; ++b) {
+          const bool before =
+              std::binary_search(then[a].begin(), then[a].end(), b);
+          const bool after = std::binary_search(now[a].begin(), now[a].end(), b);
+          if (before == after) continue;
+          ASSERT_TRUE(listed[a] && listed[b])
+              << "link " << a << "->" << b << " since version #" << back
+              << " at step " << step;
+        }
+      }
+    }
+  }
+}
+
+TEST(LinkModelPropertyTest, ChangeLogForgetsWhatItCannotCover) {
+  Rng rng(5);
+  std::vector<Point> positions;
+  for (int i = 0; i < 30; ++i) {
+    positions.push_back({rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)});
+  }
+  LinkModel lm(positions, std::vector<double>(30, 0.3), 0.0);
+  const LinkModel other(positions, std::vector<double>(30, 0.3), 0.0);
+  std::vector<NodeId> changed{7};
+  // The current geometry needs nothing; another model's never happened
+  // here, and a refusal appends nothing.
+  EXPECT_TRUE(lm.ChangedSince(lm.version(), &changed));
+  EXPECT_FALSE(lm.ChangedSince(other.version(), &changed));
+  EXPECT_EQ(changed, std::vector<NodeId>{7});
+
+  const uint64_t start = lm.version();
+  lm.SetPosition(3, {0.5, 0.5});
+  const uint64_t after_one = lm.version();
+  changed.clear();
+  EXPECT_TRUE(lm.ChangedSince(start, &changed));
+  EXPECT_NE(std::find(changed.begin(), changed.end(), 3u), changed.end());
+
+  // Every SetPosition logs its mover: this many push `start` out.
+  for (size_t k = 0; k < LinkModel::kChangeLogCapacity; ++k) {
+    lm.SetPosition(static_cast<NodeId>(k % 30),
+                   {rng.UniformDouble(0, 1), rng.UniformDouble(0, 1)});
+  }
+  changed.clear();
+  EXPECT_FALSE(lm.ChangedSince(start, &changed));
+  EXPECT_FALSE(lm.ChangedSince(after_one, &changed));
+  EXPECT_TRUE(changed.empty());
+  const uint64_t recent = lm.version();
+  lm.SetPosition(4, {0.1, 0.1});
+  EXPECT_TRUE(lm.ChangedSince(recent, &changed));
+  EXPECT_NE(std::find(changed.begin(), changed.end(), 4u), changed.end());
+}
+
 }  // namespace
 }  // namespace snapq

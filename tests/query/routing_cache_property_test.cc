@@ -1,11 +1,14 @@
-// Property test for the executor's routing-tree cache and its
-// allocation-free participation and claim pass: across seeded random
-// sequences of moves (one of them leaving every adjacency row as it was),
-// kills, battery exhaustion, re-elections that flip modes, sleep and
-// favor flags, and more sinks than the cache holds, every ExecuteRegion
-// and PlanRegion answer equals a reference computed from scratch — a fresh
-// RoutingTree::Build, a parent walk per responder and a std::map claim
-// fold.
+// Property test for the executor's routing-tree cache, the repair of a
+// cached tree, and the allocation-free participation and claim pass:
+// across seeded random sequences of moves (one of them leaving every
+// adjacency row as it was), kills, battery exhaustion, re-elections that
+// flip modes, sleep and favor flags, and more sinks than the cache holds,
+// every ExecuteRegion and PlanRegion answer equals a reference computed
+// from scratch — a fresh RoutingTree::Build, a full scan for responders,
+// a parent walk per responder and a std::map claim fold. Repaired trees
+// are also compared with a fresh build node by node, over asymmetric
+// ranges, and the cases that must rebuild (an overflowed change log, a
+// mode change under sleep or favor) are checked to rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -216,6 +219,39 @@ Rect RandomRegion(Rng& rng) {
   return Rect{x, y, x + w, y + h};
 }
 
+/// Which change ApplyRandomChange made.
+enum class Change { kNone, kMove, kDeath, kReelect };
+
+/// One seeded change: a move (possibly to where the node already is), a
+/// kill, battery exhaustion, a re-election, or nothing.
+Change ApplyRandomChange(Net& net, Rng& rng) {
+  const NodeId target = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+  switch (rng.UniformInt(0, 5)) {
+    case 0: {  // a move that leaves every adjacency row unchanged
+      const Point p = net.sim->links().position(target);
+      net.sim->MoveNode(target, p);
+      return Change::kMove;
+    }
+    case 1:
+      net.sim->MoveNode(target, {rng.UniformDouble(0.0, 1.0),
+                                 rng.UniformDouble(0.0, 1.0)});
+      return Change::kMove;
+    case 2:
+      if (!net.sim->alive(target)) return Change::kNone;
+      net.sim->Kill(target);
+      return Change::kDeath;
+    case 3:  // battery exhaustion
+      if (!net.sim->alive(target)) return Change::kNone;
+      net.sim->Drain(target, net.sim->battery(target).remaining());
+      return Change::kDeath;
+    case 4:
+      net.Reelect(rng);
+      return Change::kReelect;
+    default:
+      return Change::kNone;
+  }
+}
+
 TEST(RoutingCachePropertyTest, CachedRoutingEqualsAFreshBuild) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
@@ -226,37 +262,11 @@ TEST(RoutingCachePropertyTest, CachedRoutingEqualsAFreshBuild) {
     size_t deaths = 0;
     for (int step = 0; step < 40; ++step) {
       SCOPED_TRACE(testing::Message() << "step " << step);
-      const NodeId target =
-          static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
-      switch (rng.UniformInt(0, 5)) {
-        case 0: {  // a move that leaves every adjacency row unchanged
-          const Point p = net.sim->links().position(target);
-          net.sim->MoveNode(target, p);
-          break;
-        }
-        case 1:
-          net.sim->MoveNode(target, {rng.UniformDouble(0.0, 1.0),
-                                     rng.UniformDouble(0.0, 1.0)});
-          break;
-        case 2:
-          if (net.sim->alive(target)) ++deaths;
-          net.sim->Kill(target);
-          break;
-        case 3:  // battery exhaustion
-          if (net.sim->alive(target)) ++deaths;
-          net.sim->Drain(target, net.sim->battery(target).remaining());
-          break;
-        case 4: {
-          std::vector<NodeMode> before;
-          for (const auto& a : net.agents) before.push_back(a->mode());
-          net.Reelect(rng);
-          for (NodeId i = 0; i < kNodes; ++i) {
-            if (net.agents[i]->mode() != before[i]) ++mode_flips;
-          }
-          break;
-        }
-        default:  // no change: the next queries should hit the cache
-          break;
+      std::vector<NodeMode> before;
+      for (const auto& a : net.agents) before.push_back(a->mode());
+      if (ApplyRandomChange(net, rng) == Change::kDeath) ++deaths;
+      for (NodeId i = 0; i < kNodes; ++i) {
+        if (net.agents[i]->mode() != before[i]) ++mode_flips;
       }
       for (int q = 0; q < 6; ++q) {
         ExecutionOptions options;
@@ -276,6 +286,170 @@ TEST(RoutingCachePropertyTest, CachedRoutingEqualsAFreshBuild) {
     // The sequence really exercised what the cache must notice.
     EXPECT_GT(mode_flips, 0u);
     EXPECT_GT(deaths, 0u);
+  }
+}
+
+TEST(RoutingCachePropertyTest, SameSinkIsRepairedAfterEveryChange) {
+  // One sink queried after every change, as a gateway is: each round that
+  // follows a move or a death repairs the sink's cached tree (the plain
+  // variant always can; sleep and favor can while their bits hold), and
+  // every answer still equals the from-scratch reference.
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Net net(seed);
+    Rng rng(seed * 104729);
+    net.Reelect(rng);
+    const NodeId sink = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
+    for (int step = 0; step < 60; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const Change change = ApplyRandomChange(net, rng);
+      ExecutionOptions options;
+      options.sink = sink;
+      const int variant = step % 3;
+      options.passive_nodes_sleep = variant == 1;
+      options.favor_representatives = variant == 2;
+      const QueryExecutor::RouteStats before = net.executor->route_stats();
+      CheckQuery(net, RandomRegion(rng), /*use_snapshot=*/true,
+                 AggregateFunction::kNone, options);
+      const QueryExecutor::RouteStats& after = net.executor->route_stats();
+      // PlanRegion fetched the tree, ExecuteRegion hit what it left.
+      EXPECT_EQ(after.hits + after.repairs + after.builds,
+                before.hits + before.repairs + before.builds + 2);
+      EXPECT_GE(after.hits, before.hits + 1);
+      if (variant == 0 && step >= 3 &&
+          (change == Change::kMove || change == Change::kDeath)) {
+        EXPECT_EQ(after.repairs, before.repairs + 1);
+        EXPECT_EQ(after.builds, before.builds);
+      }
+    }
+    EXPECT_GT(net.executor->route_stats().repairs, 20u);
+  }
+}
+
+TEST(RoutingCachePropertyTest, OverflowedChangeLogFallsBackToBuild) {
+  Net net(3);
+  Rng rng(77);
+  net.Reelect(rng);
+  ExecutionOptions options;
+  options.sink = 5;
+  const Rect all = Rect::UnitSquare();
+  CheckQuery(net, all, true, AggregateFunction::kNone, options);
+
+  // A few moves: the log reaches back, so the tree is repaired.
+  for (int k = 0; k < 4; ++k) {
+    net.sim->MoveNode(static_cast<NodeId>(rng.UniformInt(0, kNodes - 1)),
+                      {rng.UniformDouble(0.0, 1.0),
+                       rng.UniformDouble(0.0, 1.0)});
+  }
+  QueryExecutor::RouteStats before = net.executor->route_stats();
+  CheckQuery(net, all, true, AggregateFunction::kNone, options);
+  EXPECT_EQ(net.executor->route_stats().repairs, before.repairs + 1);
+  EXPECT_EQ(net.executor->route_stats().builds, before.builds);
+
+  // Every move logs its mover, so this many overflow the log: the cached
+  // version is forgotten and the tree is built from scratch.
+  for (size_t k = 0; k <= LinkModel::kChangeLogCapacity; ++k) {
+    net.sim->MoveNode(static_cast<NodeId>(rng.UniformInt(0, kNodes - 1)),
+                      {rng.UniformDouble(0.0, 1.0),
+                       rng.UniformDouble(0.0, 1.0)});
+  }
+  before = net.executor->route_stats();
+  CheckQuery(net, all, true, AggregateFunction::kNone, options);
+  EXPECT_EQ(net.executor->route_stats().repairs, before.repairs);
+  EXPECT_EQ(net.executor->route_stats().builds, before.builds + 1);
+}
+
+TEST(RoutingCachePropertyTest, ModeChangeUnderSleepOrFavorRebuilds) {
+  // Sleep and favor bits come from the agents' modes. A move alone keeps
+  // them, so the sink's tree is repaired; a re-election that flips a mode
+  // changes them, so the next round builds a tree for the new bits.
+  for (const bool sleep : {true, false}) {
+    SCOPED_TRACE(testing::Message() << (sleep ? "sleep" : "favor"));
+    Net net(4);
+    Rng rng(4242);
+    net.Reelect(rng);
+    ExecutionOptions options;
+    options.sink = 9;
+    options.passive_nodes_sleep = sleep;
+    options.favor_representatives = !sleep;
+    const Rect all = Rect::UnitSquare();
+    CheckQuery(net, all, true, AggregateFunction::kAvg, options);
+
+    net.sim->MoveNode(17, {0.5, 0.5});
+    QueryExecutor::RouteStats before = net.executor->route_stats();
+    CheckQuery(net, all, true, AggregateFunction::kAvg, options);
+    EXPECT_EQ(net.executor->route_stats().repairs, before.repairs + 1);
+
+    // The bits the executor keys on: sleeping passive nodes (the sink
+    // never sleeps), or favored ACTIVE nodes.
+    const auto bits = [&] {
+      std::vector<bool> b(kNodes);
+      for (NodeId i = 0; i < kNodes; ++i) {
+        const NodeMode mode = net.agents[i]->mode();
+        b[i] = sleep ? i != options.sink && mode == NodeMode::kPassive
+                     : mode == NodeMode::kActive;
+      }
+      return b;
+    };
+    const std::vector<bool> old_bits = bits();
+    while (bits() == old_bits) net.Reelect(rng);
+    net.sim->MoveNode(17, {0.25, 0.75});
+    before = net.executor->route_stats();
+    CheckQuery(net, all, true, AggregateFunction::kAvg, options);
+    EXPECT_EQ(net.executor->route_stats().repairs, before.repairs);
+    EXPECT_EQ(net.executor->route_stats().builds, before.builds + 1);
+  }
+}
+
+TEST(RoutingCachePropertyTest, RepairedTreeEqualsAFreshBuild) {
+  // RoutingTree::Repair on its own, over asymmetric ranges (a link can
+  // work one way only) and with favor bits: after every batch of moves and
+  // deaths the repaired tree equals a fresh build at every node.
+  constexpr size_t kN = 90;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed * 31337);
+    std::vector<double> ranges(kN);
+    for (double& r : ranges) r = rng.UniformDouble(0.12, 0.3);
+    LinkModel links(PlaceUniform(kN, Rect::UnitSquare(), rng),
+                    std::move(ranges), 0.0);
+    std::vector<bool> alive(kN, true);
+    std::vector<bool> favor(kN, false);
+    for (size_t i = 0; i < kN; ++i) favor[i] = rng.Bernoulli(0.3);
+    const std::vector<bool>* bias = seed % 2 == 0 ? &favor : nullptr;
+    const NodeId sink = static_cast<NodeId>(rng.UniformInt(0, kN - 1));
+    RoutingTree tree = RoutingTree::Build(links, alive, sink, bias);
+    RoutingTree::RepairScratch scratch;
+    uint64_t version = links.version();
+    for (int step = 0; step < 80; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      std::vector<NodeId> died;
+      const int changes = static_cast<int>(rng.UniformInt(1, 5));
+      for (int c = 0; c < changes; ++c) {
+        const NodeId v = static_cast<NodeId>(rng.UniformInt(0, kN - 1));
+        if (rng.Bernoulli(0.15)) {
+          if (v == sink || !alive[v]) continue;
+          alive[v] = false;
+          died.push_back(v);
+        } else if (rng.Bernoulli(0.5)) {  // a short hop
+          const Point p = links.position(v);
+          links.SetPosition(v, {p.x + rng.UniformDouble(-0.08, 0.08),
+                                p.y + rng.UniformDouble(-0.08, 0.08)});
+        } else {
+          links.SetPosition(v, {rng.UniformDouble(0.0, 1.0),
+                                rng.UniformDouble(0.0, 1.0)});
+        }
+      }
+      std::vector<NodeId> changed;
+      ASSERT_TRUE(links.ChangedSince(version, &changed));
+      version = links.version();
+      tree.Repair(links, alive, changed, died, bias, &scratch);
+      const RoutingTree fresh = RoutingTree::Build(links, alive, sink, bias);
+      for (NodeId i = 0; i < kN; ++i) {
+        ASSERT_EQ(tree.depth(i), fresh.depth(i)) << "node " << i;
+        ASSERT_EQ(tree.parent(i), fresh.parent(i)) << "node " << i;
+      }
+    }
   }
 }
 
