@@ -187,7 +187,7 @@ SNAPQ_BENCHMARK(accuracy_audit,
     const std::string base = ctx.argv0.empty() ? ctx.name : ctx.argv0;
     const std::string path =
         bench::SidecarPath(base.c_str(), ".accuracy.json");
-    if (bench::WriteFileAtomic(
+    if (obs::WriteTextFileAtomic(
             path, CellsToJson(cells, ctx.name, ctx.repetitions, ctx.quick,
                               audit_config.error_budget))) {
       std::printf("accuracy sidecar: %s\n", path.c_str());

@@ -5,12 +5,9 @@
 #ifndef SNAPQ_BENCH_BENCH_UTIL_H_
 #define SNAPQ_BENCH_BENCH_UTIL_H_
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
 #include "bench_registry.h"
@@ -18,6 +15,7 @@
 #include "obs/energy_ledger.h"
 #include "obs/metric_registry.h"
 #include "obs/perfetto_export.h"
+#include "obs/timeline.h"
 #include "obs/topo.h"
 #include "obs/tracer.h"
 
@@ -68,35 +66,6 @@ inline std::string SidecarPath(const char* argv0, const char* suffix) {
   return (dir / (name + suffix)).string();
 }
 
-/// Atomically replaces `path` with `contents`: stages into a `.tmp.<pid>`
-/// sibling and renames over the target, so a reader (or a concurrently
-/// running driver pointed at the same SNAPQ_METRICS_DIR) never observes a
-/// half-written sidecar. Returns false when the write or rename failed.
-inline bool WriteFileAtomic(const std::string& path,
-                            const std::string& contents) {
-  namespace fs = std::filesystem;
-  const std::string staged =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  {
-    std::ofstream out(staged);
-    if (!out) return false;
-    out << contents;
-    if (!out.good()) {
-      std::error_code ec;
-      fs::remove(staged, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(staged, path, ec);
-  if (ec) {
-    std::error_code cleanup;
-    fs::remove(staged, cleanup);
-    return false;
-  }
-  return true;
-}
-
 /// Writes the process-wide metric registry (every trial merges its
 /// simulation registry into it) as a machine-readable sidecar:
 /// `<basename(argv0)>.metrics.json` (see SidecarPath). Called by
@@ -104,7 +73,8 @@ inline bool WriteFileAtomic(const std::string& path,
 /// disk.
 inline void WriteMetricsSidecar(const char* argv0) {
   const std::string path = SidecarPath(argv0, ".metrics.json");
-  if (!WriteFileAtomic(path, obs::GlobalMetrics().ToJson() + '\n')) {
+  if (!obs::WriteTextFileAtomic(path,
+                                obs::GlobalMetrics().ToJson() + '\n')) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
@@ -134,7 +104,8 @@ inline void WriteEnergyMapSidecar(const char* argv0,
                                   const std::vector<Point>& positions,
                                   const obs::EnergyMapMeta& meta) {
   const std::string path = SidecarPath(argv0, ".energymap.json");
-  if (!WriteFileAtomic(path, obs::EnergyMapToJson(snap, positions, meta))) {
+  if (!obs::WriteTextFileAtomic(
+          path, obs::EnergyMapToJson(snap, positions, meta))) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
@@ -153,8 +124,8 @@ inline void WriteTopoSidecar(const char* argv0,
                              const std::vector<obs::LinkStats>& links,
                              const obs::TopoMapMeta& meta) {
   const std::string path = SidecarPath(argv0, ".topo.json");
-  if (!WriteFileAtomic(path, obs::TopoMapToJson(snap, positions, links,
-                                                meta))) {
+  if (!obs::WriteTextFileAtomic(
+          path, obs::TopoMapToJson(snap, positions, links, meta))) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }

@@ -137,7 +137,7 @@ obs::TelemetryRecorder& SensorNetwork::EnableTelemetry(
   // which is exactly what the blackbox needs).
   if (flight_recorder_ == nullptr) {
     auto recorder =
-        std::make_unique<obs::FlightRecorder>(config.flight_recorder_capacity);
+        std::make_unique<obs::FlightRecorder>(obs::kFlightRecorderCapacity);
     obs::FlightRecorder* raw = recorder.get();
     raw->SetForward(sim_->journal().ReplaceSink(std::move(recorder)));
     flight_recorder_ = raw;
@@ -291,25 +291,20 @@ ExecutionOptions SensorNetwork::WithAudit(
 
 Result<QueryResult> SensorNetwork::Query(const std::string& sql,
                                          const ExecutionOptions& options) {
-  if (auditor_ != nullptr) return executor_->ExecuteSql(sql, WithAudit(options));
-  return executor_->ExecuteSql(sql, options);
+  return executor_->ExecuteSql(sql, WithAudit(options));
 }
 
 Result<ExplainReport> SensorNetwork::Explain(const std::string& sql,
                                              const ExecutionOptions& options) {
-  if (auditor_ != nullptr) return ExplainSql(*executor_, sql, WithAudit(options));
-  return ExplainSql(*executor_, sql, options);
+  return ExplainSql(*executor_, sql, WithAudit(options));
 }
 
 Result<int64_t> SensorNetwork::RunContinuousQuery(
     const std::string& sql, Time start,
     ContinuousQueryRunner::EpochCallback callback,
     const ExecutionOptions& options) {
-  if (auditor_ != nullptr) {
-    return continuous_->ScheduleSql(sql, start, WithAudit(options),
-                                    std::move(callback));
-  }
-  return continuous_->ScheduleSql(sql, start, options, std::move(callback));
+  return continuous_->ScheduleSql(sql, start, WithAudit(options),
+                                  std::move(callback));
 }
 
 }  // namespace snapq

@@ -94,22 +94,9 @@ const char* EnergyRootSlotName(size_t slot) {
 double EnergyLedgerSnapshot::NodeCauseJoules(NodeId node,
                                              EnergyCause cause) const {
   const double* base = cells.data() + node * kEnergyCellsPerNode;
-  switch (cause) {
-    case EnergyCause::kCache:
-      return base[EnergyLedger::CacheCell()];
-    case EnergyCause::kDirect:
-      return base[EnergyLedger::DirectCell()];
-    case EnergyCause::kKilled:
-      return base[EnergyLedger::KilledCell()];
-    default:
-      break;
-  }
   double total = 0.0;
-  for (size_t d = 0; d < kNumEnergyDirections; ++d) {
-    for (size_t m = 0; m < kNumMessageTypes; ++m) {
-      if (EnergyCauseOf(static_cast<MessageType>(m)) != cause) continue;
-      total += base[d * kNumMessageTypes + m];
-    }
+  for (size_t c = 0; c < kEnergyCellsPerNode; ++c) {
+    if (EnergyLedger::CauseOfCell(c) == cause) total += base[c];
   }
   return total;
 }
@@ -323,15 +310,22 @@ EnergyLedger::EnergyLedger(const EnergyModel& model, size_t num_nodes,
   }
 }
 
-void EnergyLedger::Record(NodeId node, size_t cell, EnergyCause cause,
-                          double applied, int root_slot) {
+EnergyCause EnergyLedger::CauseOfCell(size_t cell) {
+  if (cell == CacheCell()) return EnergyCause::kCache;
+  if (cell == DirectCell()) return EnergyCause::kDirect;
+  if (cell == KilledCell()) return EnergyCause::kKilled;
+  return EnergyCauseOf(static_cast<MessageType>(cell % kNumMessageTypes));
+}
+
+void EnergyLedger::Record(NodeId node, size_t cell, double applied,
+                          int root_slot) {
   cells_[node * kEnergyCellsPerNode + cell] += applied;
   drained_[node] += applied;
   // Mirrors the battery's own subtraction sequence (the simulator passes
   // the *applied* drain from Battery::Consume), so remaining_[node] stays
   // bitwise equal to the battery under any cost model.
   remaining_[node] -= applied;
-  cause_totals_[static_cast<size_t>(cause)] += applied;
+  cause_totals_[static_cast<size_t>(CauseOfCell(cell))] += applied;
   total_drained_ += applied;
   const size_t slot =
       (root_slot < 0 ||
@@ -341,24 +335,10 @@ void EnergyLedger::Record(NodeId node, size_t cell, EnergyCause cause,
   root_kind_[slot] += applied;
 }
 
-void EnergyLedger::RecordMessage(NodeId node, MessageType type,
-                                 EnergyDirection dir, double applied,
-                                 int root_slot) {
-  Record(node, CellIndex(dir, type), EnergyCauseOf(type), applied, root_slot);
-}
-
-void EnergyLedger::RecordCacheOp(NodeId node, double applied, int root_slot) {
-  Record(node, CacheCell(), EnergyCause::kCache, applied, root_slot);
-}
-
-void EnergyLedger::RecordDirect(NodeId node, double applied, int root_slot) {
-  Record(node, DirectCell(), EnergyCause::kDirect, applied, root_slot);
-}
-
 void EnergyLedger::RecordKillDiscard(NodeId node, double discarded) {
   // An unlimited battery has nothing to discard (and inf - inf is NaN).
   if (!std::isfinite(discarded)) return;
-  Record(node, KilledCell(), EnergyCause::kKilled, discarded, -1);
+  Record(node, KilledCell(), discarded);
 }
 
 void EnergyLedger::RecordDeath(NodeId node, Time t) {

@@ -43,11 +43,12 @@
 // come from two internal fixed-memory TimeSeries (min and median remaining
 // charge) via their least-squares Slope().
 //
-// Cost model (the repo's observability contract): with no ledger attached
-// the simulator's charge sites pay a single null-pointer branch; with a
-// ledger attached each drain is a handful of double adds into
-// preallocated arrays — ZERO heap allocations either way (pinned by
-// energy_ledger_alloc_test). UpdateGauges is likewise allocation-free.
+// Cost model (the repo's observability contract): every battery drain
+// goes through the simulator's one Charge helper, which pays one branch
+// when no ledger is attached; with a ledger attached each drain is a
+// handful of double adds into preallocated arrays — ZERO heap allocations
+// either way (pinned by energy_ledger_alloc_test). UpdateGauges is
+// likewise allocation-free.
 //
 // Layering: obs depends on net (message taxonomy) and common only — the
 // simulator pushes drains in; nothing here calls back into sim.
@@ -180,15 +181,11 @@ class EnergyLedger {
 
   // -- Hot path (a few double adds; never allocates) -------------------------
 
-  /// One message-layer drain of `applied` joules. `root_slot` is the
-  /// drain's causal trace-root kind as an index into the root slots (-1 or
-  /// out-of-range folds into the untraced slot).
-  void RecordMessage(NodeId node, MessageType type, EnergyDirection dir,
-                     double applied, int root_slot = -1);
-  /// One cache-maintenance CPU charge.
-  void RecordCacheOp(NodeId node, double applied, int root_slot = -1);
-  /// One untyped direct drain (Simulator::Drain).
-  void RecordDirect(NodeId node, double applied, int root_slot = -1);
+  /// One drain of `applied` joules into attribution cell `cell` (a
+  /// CellIndex, CacheCell or DirectCell; the cell determines the cause).
+  /// `root_slot` is the drain's causal trace-root kind as an index into
+  /// the root slots (-1 or out-of-range folds into the untraced slot).
+  void Record(NodeId node, size_t cell, double applied, int root_slot = -1);
   /// Charge discarded by a forced kill (attributed so conservation holds).
   void RecordKillDiscard(NodeId node, double discarded);
   /// Marks `node` dead at tick `t` (first call wins).
@@ -226,6 +223,8 @@ class EnergyLedger {
   static size_t CacheCell() { return kEnergyCellsPerNode - 3; }
   static size_t DirectCell() { return kEnergyCellsPerNode - 2; }
   static size_t KilledCell() { return kEnergyCellsPerNode - 1; }
+  /// The cause a cell rolls up into.
+  static EnergyCause CauseOfCell(size_t cell);
 
   // -- Sampling / forecasting -------------------------------------------------
 
@@ -255,9 +254,6 @@ class EnergyLedger {
   std::string ToTable() const;
 
  private:
-  void Record(NodeId node, size_t cell, EnergyCause cause, double applied,
-              int root_slot);
-
   const EnergyModel model_;
   const size_t num_nodes_;
 

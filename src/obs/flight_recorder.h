@@ -26,6 +26,9 @@
 
 namespace snapq::obs {
 
+/// Journal events the flight recorder SensorNetwork wires in retains.
+inline constexpr size_t kFlightRecorderCapacity = 512;
+
 class FlightRecorder final : public JournalSink {
  public:
   explicit FlightRecorder(size_t capacity);

@@ -1,6 +1,5 @@
 #include "obs/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -57,160 +56,10 @@ std::string JsonNumber(double value) {
 
 namespace {
 
-/// Cursor over the input; all Parse* helpers advance it past what they
-/// consumed and return false on malformed input.
-struct Cursor {
-  std::string_view text;
-  size_t pos = 0;
-
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-  bool AtEnd() const { return pos >= text.size(); }
-  char Peek() const { return text[pos]; }
-  bool Consume(char c) {
-    if (AtEnd() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-  bool ConsumeWord(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-};
-
-bool ParseString(Cursor& c, std::string* out) {
-  if (!c.Consume('"')) return false;
-  out->clear();
-  while (!c.AtEnd()) {
-    const char ch = c.text[c.pos++];
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      *out += ch;
-      continue;
-    }
-    if (c.AtEnd()) return false;
-    const char esc = c.text[c.pos++];
-    switch (esc) {
-      case '"':
-        *out += '"';
-        break;
-      case '\\':
-        *out += '\\';
-        break;
-      case '/':
-        *out += '/';
-        break;
-      case 'n':
-        *out += '\n';
-        break;
-      case 'r':
-        *out += '\r';
-        break;
-      case 't':
-        *out += '\t';
-        break;
-      case 'u': {
-        if (c.pos + 4 > c.text.size()) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = c.text[c.pos++];
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        // Our writers only escape control characters; anything else in the
-        // BMP is passed through as a replacement to keep the parser simple.
-        *out += code < 0x80 ? static_cast<char>(code) : '?';
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;  // unterminated
-}
-
-bool ParseValue(Cursor& c, JsonValue* out) {
-  c.SkipSpace();
-  if (c.AtEnd()) return false;
-  const char ch = c.Peek();
-  if (ch == '"') {
-    out->kind = JsonValue::Kind::kString;
-    return ParseString(c, &out->string);
-  }
-  if (ch == 't') {
-    out->kind = JsonValue::Kind::kBool;
-    out->boolean = true;
-    return c.ConsumeWord("true");
-  }
-  if (ch == 'f') {
-    out->kind = JsonValue::Kind::kBool;
-    out->boolean = false;
-    return c.ConsumeWord("false");
-  }
-  if (ch == 'n') {
-    out->kind = JsonValue::Kind::kNull;
-    return c.ConsumeWord("null");
-  }
-  // Number: delegate to strtod over the remaining text.
-  const std::string rest(c.text.substr(c.pos));
-  char* end = nullptr;
-  const double v = std::strtod(rest.c_str(), &end);
-  if (end == rest.c_str()) return false;
-  c.pos += static_cast<size_t>(end - rest.c_str());
-  out->kind = JsonValue::Kind::kNumber;
-  out->number = v;
-  return true;
-}
-
-}  // namespace
-
-std::optional<std::map<std::string, JsonValue>> ParseFlatJsonObject(
-    std::string_view text) {
-  Cursor c{text};
-  c.SkipSpace();
-  if (!c.Consume('{')) return std::nullopt;
-  std::map<std::string, JsonValue> out;
-  c.SkipSpace();
-  if (c.Consume('}')) {
-    c.SkipSpace();
-    return c.AtEnd() ? std::optional(out) : std::nullopt;
-  }
-  while (true) {
-    c.SkipSpace();
-    std::string key;
-    if (!ParseString(c, &key)) return std::nullopt;
-    c.SkipSpace();
-    if (!c.Consume(':')) return std::nullopt;
-    JsonValue value;
-    if (!ParseValue(c, &value)) return std::nullopt;
-    out[std::move(key)] = std::move(value);
-    c.SkipSpace();
-    if (c.Consume(',')) continue;
-    if (c.Consume('}')) break;
-    return std::nullopt;
-  }
-  c.SkipSpace();
-  if (!c.AtEnd()) return std::nullopt;
-  return out;
-}
-
-namespace {
-
 /// Recursive-descent syntax check over the full JSON grammar. `depth`
-/// guards against stack exhaustion on adversarial input.
+/// guards against stack exhaustion on adversarial input. Each Check*
+/// helper advances `i` past what it accepted and returns false on
+/// malformed input.
 bool CheckValue(std::string_view text, size_t& i, int depth);
 
 bool CheckSpace(std::string_view text, size_t& i) {
@@ -228,40 +77,70 @@ bool CheckLiteral(std::string_view text, size_t& i, std::string_view lit) {
   return true;
 }
 
-bool CheckString(std::string_view text, size_t& i) {
+int HexDigit(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
+
+/// A string literal, decoded into `out` when non-null. Our writers only
+/// \u-escape control characters, so a code point past ASCII decodes to '?'.
+bool CheckString(std::string_view text, size_t& i,
+                 std::string* out = nullptr) {
   if (i >= text.size() || text[i] != '"') return false;
   ++i;
+  if (out != nullptr) out->clear();
   while (i < text.size()) {
-    const char c = text[i];
-    if (c == '"') {
-      ++i;
-      return true;
-    }
+    char c = text[i++];
+    if (c == '"') return true;
     if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
     if (c == '\\') {
-      ++i;
       if (i >= text.size()) return false;
-      const char esc = text[i];
-      if (esc == 'u') {
-        if (i + 4 >= text.size()) return false;
-        for (int k = 1; k <= 4; ++k) {
-          const char h = text[i + static_cast<size_t>(k)];
-          const bool hex = (h >= '0' && h <= '9') || (h >= 'a' && h <= 'f') ||
-                           (h >= 'A' && h <= 'F');
-          if (!hex) return false;
+      const char esc = text[i++];
+      switch (esc) {
+        case '"':
+        case '\\':
+        case '/':
+          c = esc;
+          break;
+        case 'b':
+          c = '\b';
+          break;
+        case 'f':
+          c = '\f';
+          break;
+        case 'n':
+          c = '\n';
+          break;
+        case 'r':
+          c = '\r';
+          break;
+        case 't':
+          c = '\t';
+          break;
+        case 'u': {
+          if (text.size() - i < 4) return false;
+          unsigned code = 0;
+          for (int k = 0; k < 4; ++k) {
+            const int digit = HexDigit(text[i++]);
+            if (digit < 0) return false;
+            code = (code << 4) | static_cast<unsigned>(digit);
+          }
+          c = code < 0x80 ? static_cast<char>(code) : '?';
+          break;
         }
-        i += 4;
-      } else if (esc != '"' && esc != '\\' && esc != '/' && esc != 'b' &&
-                 esc != 'f' && esc != 'n' && esc != 'r' && esc != 't') {
-        return false;
+        default:
+          return false;
       }
     }
-    ++i;
+    if (out != nullptr) *out += c;
   }
   return false;  // unterminated
 }
 
-bool CheckNumber(std::string_view text, size_t& i) {
+/// A number literal, its value stored in `out` when non-null.
+bool CheckNumber(std::string_view text, size_t& i, double* out = nullptr) {
   const size_t start = i;
   if (i < text.size() && text[i] == '-') ++i;
   size_t digits = 0;
@@ -291,6 +170,10 @@ bool CheckNumber(std::string_view text, size_t& i) {
       ++exp;
     }
     if (exp == 0) return false;
+  }
+  if (out != nullptr) {
+    const std::string literal(text.substr(start, i - start));
+    *out = std::strtod(literal.c_str(), nullptr);
   }
   return true;
 }
@@ -369,6 +252,61 @@ bool CheckValue(std::string_view text, size_t& i, int depth) {
 }
 
 }  // namespace
+
+std::optional<std::map<std::string, JsonValue>> ParseFlatJsonObject(
+    std::string_view text) {
+  size_t i = 0;
+  CheckSpace(text, i);
+  if (i >= text.size() || text[i] != '{') return std::nullopt;
+  ++i;
+  std::map<std::string, JsonValue> out;
+  CheckSpace(text, i);
+  bool more = i >= text.size() || text[i] != '}';
+  if (!more) ++i;
+  while (more) {
+    CheckSpace(text, i);
+    std::string key;
+    if (!CheckString(text, i, &key)) return std::nullopt;
+    CheckSpace(text, i);
+    if (i >= text.size() || text[i] != ':') return std::nullopt;
+    ++i;
+    CheckSpace(text, i);
+    if (i >= text.size()) return std::nullopt;
+    JsonValue value;
+    bool ok = false;
+    switch (text[i]) {
+      case '"':
+        value.kind = JsonValue::Kind::kString;
+        ok = CheckString(text, i, &value.string);
+        break;
+      case 't':
+      case 'f':
+        value.kind = JsonValue::Kind::kBool;
+        value.boolean = text[i] == 't';
+        ok = CheckLiteral(text, i, value.boolean ? "true" : "false");
+        break;
+      case 'n':
+        ok = CheckLiteral(text, i, "null");
+        break;
+      case '{':
+      case '[':
+        break;  // nested containers: not a flat object
+      default:
+        value.kind = JsonValue::Kind::kNumber;
+        ok = CheckNumber(text, i, &value.number);
+    }
+    if (!ok) return std::nullopt;
+    out[std::move(key)] = std::move(value);
+    CheckSpace(text, i);
+    if (i >= text.size() || (text[i] != ',' && text[i] != '}')) {
+      return std::nullopt;
+    }
+    more = text[i++] == ',';
+  }
+  CheckSpace(text, i);
+  if (i != text.size()) return std::nullopt;
+  return out;
+}
 
 bool ValidateJson(std::string_view text) {
   size_t i = 0;

@@ -33,8 +33,8 @@ struct JsonValue {
 };
 
 /// Parses a one-level JSON object ({"key": scalar, ...}) with string,
-/// number, bool and null values. Returns nullopt on malformed input or
-/// nested containers.
+/// number, bool and null values, under the same grammar ValidateJson
+/// checks. Returns nullopt on malformed input or nested containers.
 std::optional<std::map<std::string, JsonValue>> ParseFlatJsonObject(
     std::string_view text);
 

@@ -173,8 +173,7 @@ TelemetryRecorder::TelemetryRecorder(const TelemetryConfig& config,
                                      MetricRegistry* registry)
     : config_(config), registry_(registry) {
   SNAPQ_CHECK_GT(config.sample_interval, 0);
-  SNAPQ_CHECK_GT(config.max_series, 0u);
-  probes_.reserve(config.max_series);
+  probes_.reserve(kMaxTelemetrySeries);
   const long page = ::sysconf(_SC_PAGESIZE);
   page_kb_ = page > 0 ? static_cast<double>(page) / 1024.0 : 4.0;
 }
@@ -188,7 +187,7 @@ TimeSeries* TelemetryRecorder::AddProbe(Probe probe) {
     if (existing.name == probe.name) return &existing.series;
   }
   // Reallocation would invalidate the series pointers already handed out.
-  SNAPQ_CHECK_LT(probes_.size(), config_.max_series);
+  SNAPQ_CHECK_LT(probes_.size(), kMaxTelemetrySeries);
   probes_.push_back(std::move(probe));
   return &probes_.back().series;
 }

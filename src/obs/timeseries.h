@@ -137,17 +137,17 @@ class TimeSeries {
   double sum_ = 0.0;
 };
 
+/// Probe slots a TelemetryRecorder preallocates at construction; Track*
+/// calls beyond this are a programmer error (series pointers must stay
+/// stable).
+inline constexpr size_t kMaxTelemetrySeries = 32;
+
 struct TelemetryConfig {
   /// Sim-time ticks between samples (the SensorNetwork scheduling hook and
   /// the per-interval counter rates both use it).
   Time sample_interval = 10;
   /// Ring sizing shared by every tracked series.
   TimeSeriesConfig series;
-  /// Probe slots preallocated at construction; Track* calls beyond this
-  /// are a programmer error (series pointers must stay stable).
-  size_t max_series = 32;
-  /// Journal events the flight recorder retains (SensorNetwork wiring).
-  size_t flight_recorder_capacity = 512;
   /// Where the blackbox dump goes when a watchdog rule fires; empty
   /// disables dumping (SensorNetwork wiring).
   std::string blackbox_path;
@@ -222,7 +222,7 @@ class TelemetryRecorder {
 
   TelemetryConfig config_;
   MetricRegistry* registry_;
-  std::vector<Probe> probes_;  // reserved to max_series: pointers stable
+  std::vector<Probe> probes_;  // reserved to kMaxTelemetrySeries: stable
   bool enabled_ = true;
   uint64_t num_samples_ = 0;
   Time last_sample_time_ = 0;

@@ -76,29 +76,30 @@ LinkStats* LinkObserver::Touch(NodeId from, NodeId to, Time now) {
   }
 }
 
-void LinkObserver::RecordDelivery(NodeId from, NodeId to, Time now) {
+void LinkObserver::Record(NodeId from, NodeId to, RadioEventKind kind,
+                          Time now) {
   LinkStats* link = Touch(from, to, now);
   if (link == nullptr) return;
-  ++link->deliveries;
-  link->ewma_delivery = link->ewma_delivery < 0.0
-                            ? 1.0
-                            : (1.0 - kLinkEwmaAlpha) * link->ewma_delivery +
-                                  kLinkEwmaAlpha;
-}
-
-void LinkObserver::RecordSnoop(NodeId from, NodeId to, Time now) {
-  LinkStats* link = Touch(from, to, now);
-  if (link == nullptr) return;
-  ++link->snoops;
-}
-
-void LinkObserver::RecordLoss(NodeId from, NodeId to, Time now) {
-  LinkStats* link = Touch(from, to, now);
-  if (link == nullptr) return;
-  ++link->losses;
-  link->ewma_delivery = link->ewma_delivery < 0.0
-                            ? 0.0
-                            : (1.0 - kLinkEwmaAlpha) * link->ewma_delivery;
+  switch (kind) {
+    case RadioEventKind::kDeliver:
+      ++link->deliveries;
+      link->ewma_delivery =
+          link->ewma_delivery < 0.0
+              ? 1.0
+              : (1.0 - kLinkEwmaAlpha) * link->ewma_delivery + kLinkEwmaAlpha;
+      break;
+    case RadioEventKind::kLoss:
+      ++link->losses;
+      link->ewma_delivery = link->ewma_delivery < 0.0
+                                ? 0.0
+                                : (1.0 - kLinkEwmaAlpha) * link->ewma_delivery;
+      break;
+    case RadioEventKind::kSnoop:
+      ++link->snoops;
+      break;
+    case RadioEventKind::kSend:  // not a receiver outcome
+      break;
+  }
 }
 
 const LinkStats* LinkObserver::Find(NodeId from, NodeId to) const {
@@ -520,7 +521,7 @@ TopologyMonitor::TopologyMonitor(const TopologyConfig& config,
       observer_(links.num_nodes(), config.max_links != 0
                                        ? config.max_links
                                        : LinkObserver::CapacityFor(links)),
-      churn_(links.num_nodes(), config.churn_grid, registry),
+      churn_(links.num_nodes(), kChurnGrid, registry),
       gauges_(registry, TopoGaugeNames()),
       samples_counter_(registry->GetCounter("topo.samples")),
       journal_(journal) {
@@ -532,8 +533,7 @@ const TopologySnapshot& TopologyMonitor::Sample(const LinkModel& links,
   churn_.Observe(view_, links, now);
   snapshot_ = AnalyzeTopology(links, view_, now);
   snapshot_.weak_links =
-      observer_.CountWeakLinks(config_.weak_threshold,
-                               config_.weak_min_attempts);
+      observer_.CountWeakLinks(kWeakLinkThreshold, kWeakLinkMinAttempts);
   ++num_samples_;
 
   gauges_.Set(kTopoPartitions, static_cast<double>(snapshot_.partitions));
@@ -586,7 +586,7 @@ std::string TopologyMonitor::ToString() const {
       "  links         %zu observed (%llu dropped), %zu weak (ewma < %.2f)\n",
       observer_.num_links(),
       static_cast<unsigned long long>(observer_.dropped_records()),
-      s.weak_links, config_.weak_threshold);
+      s.weak_links, kWeakLinkThreshold);
   out << StrFormat(
       "  churn         flaps %.0f/sweep (%llu total), elections %.0f/sweep "
       "(%llu total), tenure p50 %.0f ticks\n",
@@ -616,9 +616,8 @@ std::string TopologyMonitor::ToString() const {
                    });
   size_t shown = 0;
   for (const LinkStats& l : links) {
-    if (l.attempts() < config_.weak_min_attempts) continue;
-    if (l.ewma_delivery < 0.0 ||
-        l.ewma_delivery >= config_.weak_threshold) {
+    if (l.attempts() < kWeakLinkMinAttempts) continue;
+    if (l.ewma_delivery < 0.0 || l.ewma_delivery >= kWeakLinkThreshold) {
       continue;
     }
     if (shown == 0) out << "weakest links (ewma < threshold):\n";

@@ -6,9 +6,9 @@
 //
 //  * LinkObserver — fixed-memory per-directed-link statistics (deliveries,
 //    snoops, losses, EWMA delivery ratio, last-activity tick) fed from the
-//    simulator's delivery/loss/snoop sites. Cost model (the repo's
-//    observability contract): with no observer attached each site pays a
-//    single null-pointer branch; with one attached each outcome is a
+//    simulator's one receiver-outcome helper (RecordOutcome). Cost model
+//    (the repo's observability contract): with no observer attached that
+//    helper pays one branch; with one attached each outcome is a
 //    fixed-capacity open-addressing probe plus a handful of writes — ZERO
 //    heap allocations either way (pinned by topo_alloc_test).
 //
@@ -34,8 +34,8 @@
 //   topo.articulation_nodes  nodes whose death splits a component
 //   topo.avg_degree          mean undirected degree over live nodes
 //   topo.isolated_nodes      live nodes with no live neighbor
-//   topo.weak_links          observed links with EWMA delivery below the
-//                            configured threshold
+//   topo.weak_links          observed links with EWMA delivery below
+//                            kWeakLinkThreshold
 //   topo.live_nodes          live-node count at the sample
 //   topo.links_observed      distinct directed links seen by the observer
 //   churn.rep_tenure_p50     median completed representative tenure (ticks;
@@ -66,6 +66,7 @@
 #include "common/geometry.h"
 #include "net/link_model.h"
 #include "net/node_id.h"
+#include "net/trace_context.h"
 #include "obs/gauge_pack.h"
 #include "obs/journal.h"
 #include "obs/metric_registry.h"
@@ -123,9 +124,9 @@ class LinkObserver {
 
   // -- Hot path (one probe + a few writes; never allocates) ------------------
 
-  void RecordDelivery(NodeId from, NodeId to, Time now);
-  void RecordSnoop(NodeId from, NodeId to, Time now);
-  void RecordLoss(NodeId from, NodeId to, Time now);
+  /// One receiver outcome on the directed link: kDeliver, kSnoop or an
+  /// addressed kLoss.
+  void Record(NodeId from, NodeId to, RadioEventKind kind, Time now);
 
   // -- Reads -----------------------------------------------------------------
 
@@ -304,13 +305,14 @@ struct TopologyConfig {
   /// moves nodes sets this explicitly, e.g. to
   /// LinkObserver::kDefaultMaxLinks.
   size_t max_links = 0;
-  /// A link with at least `weak_min_attempts` addressed outcomes and an
-  /// EWMA delivery ratio below `weak_threshold` counts as weak.
-  double weak_threshold = 0.5;
-  uint64_t weak_min_attempts = 8;
-  /// Churn region grid is `churn_grid` x `churn_grid` cells.
-  size_t churn_grid = 4;
 };
+
+/// A link with at least kWeakLinkMinAttempts addressed outcomes and an
+/// EWMA delivery ratio below kWeakLinkThreshold counts as weak.
+inline constexpr double kWeakLinkThreshold = 0.5;
+inline constexpr uint64_t kWeakLinkMinAttempts = 8;
+/// The monitor's churn region grid is kChurnGrid x kChurnGrid cells.
+inline constexpr size_t kChurnGrid = 4;
 
 /// Owns the observer, the churn tracker and the latest snapshot; publishes
 /// the topo.* gauges and the `topo.sample` journal event once per Sample.

@@ -388,23 +388,7 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   }
 
   if (options.provenance != nullptr) {
-    QueryProvenance& prov = *options.provenance;
-    prov.matching_nodes = result.matching_nodes;
-    prov.responders = result.responders;
-    prov.participants = result.participants;
-    prov.reachable_nodes = tree.CountReachable();
-    prov.messages = replies;
-    prov.energy = options.charge_energy
-                      ? sim_->config().energy.tx_cost *
-                            static_cast<double>(replies)
-                      : 0.0;
-    prov.tree_depth = -1;
-    for (NodeId r : reachable_) {
-      prov.tree_depth = std::max(prov.tree_depth, tree.depth(r));
-    }
-    prov.claims = ClaimMap();
-    prov.depth.assign(n, -1);
-    for (NodeId i = 0; i < n; ++i) prov.depth[i] = tree.depth(i);
+    *options.provenance = Provenance(tree, options);
   }
 
   span.EndSim(sim_->now());
@@ -443,40 +427,40 @@ void QueryExecutor::CollectClaims(bool use_snapshot) const {
   SortIds(&claimed_);
 }
 
-std::map<NodeId, QueryClaim> QueryExecutor::ClaimMap() const {
-  std::map<NodeId, QueryClaim> claims;
-  for (NodeId j : claimed_) claims.emplace_hint(claims.end(), j, claims_[j]);
-  return claims;
+QueryProvenance QueryExecutor::Provenance(
+    const RoutingTree& tree, const ExecutionOptions& options) const {
+  QueryProvenance prov;
+  prov.matching_nodes = matched_.size();
+  prov.responders = reachable_.size();
+  prov.participants = participants_.size();
+  prov.reachable_nodes = tree.CountReachable();
+  prov.messages =
+      prov.participants - (on_path_.Test(options.sink) ? 1u : 0u);
+  prov.energy = options.charge_energy
+                    ? sim_->config().energy.tx_cost *
+                          static_cast<double>(prov.messages)
+                    : 0.0;
+  for (NodeId r : reachable_) {
+    prov.tree_depth = std::max(prov.tree_depth, tree.depth(r));
+  }
+  for (NodeId j : claimed_) {
+    prov.claims.emplace_hint(prov.claims.end(), j, claims_[j]);
+  }
+  const size_t n = agents_->size();
+  prov.depth.resize(n);
+  for (NodeId i = 0; i < n; ++i) prov.depth[i] = tree.depth(i);
+  return prov;
 }
 
 QueryProvenance QueryExecutor::PlanRegion(
     const Rect& region, bool use_snapshot,
     const ExecutionOptions& options) const {
-  // Shares ExecuteRegion's participation pass exactly: the estimate and
-  // the actuals must only diverge when the snapshot state itself changes
-  // between planning and execution.
-  QueryProvenance plan;
+  // Shares ExecuteRegion's participation pass and provenance fill exactly:
+  // the estimate and the actuals must only diverge when the snapshot state
+  // itself changes between planning and execution.
   const RoutingTree& tree = PlanParticipation(region, use_snapshot, options);
-  plan.matching_nodes = matched_.size();
-  for (NodeId r : reachable_) {
-    plan.tree_depth = std::max(plan.tree_depth, tree.depth(r));
-  }
-  plan.participants = participants_.size();
-  plan.responders = reachable_.size();
-  plan.reachable_nodes = tree.CountReachable();
-  plan.messages =
-      plan.participants - (on_path_.Test(options.sink) ? 1u : 0u);
-  plan.energy = options.charge_energy
-                    ? sim_->config().energy.tx_cost *
-                          static_cast<double>(plan.messages)
-                    : 0.0;
-
   CollectClaims(use_snapshot);
-  plan.claims = ClaimMap();
-  const size_t n = agents_->size();
-  plan.depth.assign(n, -1);
-  for (NodeId i = 0; i < n; ++i) plan.depth[i] = tree.depth(i);
-  return plan;
+  return Provenance(tree, options);
 }
 
 }  // namespace snapq

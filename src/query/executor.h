@@ -275,8 +275,11 @@ class QueryExecutor {
   /// until the next call.
   void CollectClaims(bool use_snapshot) const;
 
-  /// claimed_ as the ordered map QueryProvenance carries.
-  std::map<NodeId, QueryClaim> ClaimMap() const;
+  /// The round's provenance from the participation pass over `tree` and
+  /// the claims of the last CollectClaims: PlanRegion's estimate and
+  /// ExecuteRegion's actuals are the same fill.
+  QueryProvenance Provenance(const RoutingTree& tree,
+                             const ExecutionOptions& options) const;
 
   Simulator* const sim_;
   std::vector<std::unique_ptr<SnapshotAgent>>* const agents_;

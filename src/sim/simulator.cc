@@ -79,30 +79,23 @@ bool Simulator::Send(const Message& msg) {
   const NodeId from = msg.from;
   SNAPQ_CHECK_LT(from, num_nodes());
   if (!batteries_[from].alive()) return false;
+  // The sender's context: the message's own stamp when the sender
+  // forwarded a traced message verbatim, else the ambient context of the
+  // executing event.
+  const TraceContext& parent =
+      msg.trace.sampled() ? msg.trace : current_trace_;
   // A node may die on its final transmission; the message still goes out.
-  double applied = 0.0;
-  const DrainOutcome drain =
-      batteries_[from].Consume(config_.energy.tx_cost, &applied);
-  if (energy_ledger_ != nullptr) {
-    energy_ledger_->RecordMessage(
-        from, msg.type, obs::EnergyDirection::kTx, applied,
-        RootSlotOf(msg.trace.sampled() ? msg.trace : current_trace_));
-  }
-  if (drain == DrainOutcome::kDiedNow) OnNodeDeath(from, "tx");
+  Charge(from, config_.energy.tx_cost,
+         obs::EnergyLedger::CellIndex(obs::EnergyDirection::kTx, msg.type),
+         parent, "tx");
   obs::ProfCount(obs::HotOp::kMessagesSent);
   metrics_.CountSent(msg.type);
   ++sent_by_[from];
-  // Causal tracing: this transmission becomes a span under the sender's
-  // context — the message's own stamp when the sender forwarded a traced
-  // message verbatim, else the ambient context of the executing event.
+  // Causal tracing: this transmission becomes a span under the parent.
   TraceContext span_ctx;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    const TraceContext& parent =
-        msg.trace.sampled() ? msg.trace : current_trace_;
-    if (parent.sampled()) {
-      span_ctx = tracer_->BeginMessageSpan(parent, msg.type, from,
-                                           queue_.now());
-    }
+  if (tracer_ != nullptr && tracer_->enabled() && parent.sampled()) {
+    span_ctx = tracer_->BeginMessageSpan(parent, msg.type, from,
+                                         queue_.now());
   }
 
   for (NodeId receiver : links_.Reachable(from)) {
@@ -121,14 +114,11 @@ bool Simulator::Send(const Message& msg) {
     if (links_.SampleLoss(from, receiver, rng_) ||
         (type_loss > 0.0 && rng_.Bernoulli(type_loss))) {
       if (addressed) {
-        metrics_.CountLost(msg.type);
-        // Lost snoop copies are invisible to the link's delivery ratio:
-        // they were never owed to the receiver.
-        if (link_observer_ != nullptr) {
-          link_observer_->RecordLoss(from, receiver, queue_.now());
-        }
-      }
-      if (span_ctx.sampled()) {
+        RecordOutcome(from, receiver, msg.type, RadioEventKind::kLoss,
+                      span_ctx);
+      } else if (span_ctx.sampled()) {
+        // Lost snoop copies are invisible to the counters and the link's
+        // delivery ratio: they were never owed to the receiver.
         tracer_->RecordDelivery(span_ctx, receiver, queue_.now(),
                                 RadioEventKind::kLoss);
       }
@@ -167,70 +157,72 @@ void Simulator::RunDelivery(DeliveryEvent* event) {
 
 void Simulator::Deliver(NodeId to, const Message& msg, bool snooped) {
   if (!batteries_[to].alive()) return;
-  double applied = 0.0;
-  const DrainOutcome drain =
-      batteries_[to].Consume(config_.energy.rx_cost, &applied);
-  if (energy_ledger_ != nullptr) {
-    energy_ledger_->RecordMessage(
-        to, msg.type,
-        snooped ? obs::EnergyDirection::kSnoop : obs::EnergyDirection::kRx,
-        applied, RootSlotOf(msg.trace));
-  }
-  if (drain == DrainOutcome::kDiedNow) OnNodeDeath(to, "rx");
-  if (snooped) {
-    obs::ProfCount(obs::HotOp::kMessagesSnooped);
-    metrics_.CountSnooped(msg.type);
-    if (link_observer_ != nullptr) {
-      link_observer_->RecordSnoop(msg.from, to, queue_.now());
-    }
-  } else {
-    obs::ProfCount(obs::HotOp::kMessagesDelivered);
-    metrics_.CountDelivered(msg.type);
-    if (link_observer_ != nullptr) {
-      link_observer_->RecordDelivery(msg.from, to, queue_.now());
-    }
-  }
-  if (msg.trace.sampled() && tracer_ != nullptr) {
-    tracer_->RecordDelivery(
-        msg.trace, to, queue_.now(),
-        snooped ? RadioEventKind::kSnoop : RadioEventKind::kDeliver);
-  }
+  Charge(to, config_.energy.rx_cost,
+         obs::EnergyLedger::CellIndex(snooped ? obs::EnergyDirection::kSnoop
+                                              : obs::EnergyDirection::kRx,
+                                      msg.type),
+         msg.trace, "rx");
+  RecordOutcome(msg.from, to, msg.type,
+                snooped ? RadioEventKind::kSnoop : RadioEventKind::kDeliver,
+                msg.trace);
   if (handlers_[to]) {
     TraceScope scope(*this, msg.trace);
     handlers_[to](msg, snooped);
   }
 }
 
+void Simulator::Charge(NodeId id, double amount, size_t cell,
+                       const TraceContext& ctx, const char* cause) {
+  double applied = 0.0;
+  const DrainOutcome drain = batteries_[id].Consume(amount, &applied);
+  if (energy_ledger_ != nullptr) {
+    energy_ledger_->Record(id, cell, applied, RootSlotOf(ctx));
+  }
+  if (drain == DrainOutcome::kDiedNow) OnNodeDeath(id, cause);
+}
+
+void Simulator::RecordOutcome(NodeId from, NodeId to, MessageType type,
+                              RadioEventKind kind, const TraceContext& span) {
+  switch (kind) {
+    case RadioEventKind::kDeliver:
+      obs::ProfCount(obs::HotOp::kMessagesDelivered);
+      metrics_.CountDelivered(type);
+      break;
+    case RadioEventKind::kSnoop:
+      obs::ProfCount(obs::HotOp::kMessagesSnooped);
+      metrics_.CountSnooped(type);
+      break;
+    case RadioEventKind::kLoss:
+      metrics_.CountLost(type);
+      break;
+    case RadioEventKind::kSend:  // not a receiver outcome
+      break;
+  }
+  if (link_observer_ != nullptr) {
+    link_observer_->Record(from, to, kind, queue_.now());
+  }
+  if (span.sampled() && tracer_ != nullptr) {
+    tracer_->RecordDelivery(span, to, queue_.now(), kind);
+  }
+}
+
 void Simulator::ChargeCacheOp(NodeId id) {
   SNAPQ_CHECK_LT(id, num_nodes());
-  double applied = 0.0;
-  const DrainOutcome drain =
-      batteries_[id].Consume(config_.energy.cache_op_cost, &applied);
-  if (energy_ledger_ != nullptr) {
-    energy_ledger_->RecordCacheOp(id, applied, RootSlotOf(current_trace_));
-  }
-  if (drain == DrainOutcome::kDiedNow) OnNodeDeath(id, "cache");
+  Charge(id, config_.energy.cache_op_cost, obs::EnergyLedger::CacheCell(),
+         current_trace_, "cache");
   obs::ProfCount(obs::HotOp::kCacheOps);
   metrics_.CountCacheOp();
 }
 
 void Simulator::Drain(NodeId id, double amount) {
-  double applied = 0.0;
-  const DrainOutcome drain = batteries_[id].Consume(amount, &applied);
-  if (energy_ledger_ != nullptr) {
-    energy_ledger_->RecordDirect(id, applied, RootSlotOf(current_trace_));
-  }
-  if (drain == DrainOutcome::kDiedNow) OnNodeDeath(id, "drain");
+  Charge(id, amount, obs::EnergyLedger::DirectCell(), current_trace_,
+         "drain");
 }
 
 void Simulator::DrainAs(NodeId id, double amount, MessageType as_type) {
-  double applied = 0.0;
-  const DrainOutcome drain = batteries_[id].Consume(amount, &applied);
-  if (energy_ledger_ != nullptr) {
-    energy_ledger_->RecordMessage(id, as_type, obs::EnergyDirection::kTx,
-                                  applied, RootSlotOf(current_trace_));
-  }
-  if (drain == DrainOutcome::kDiedNow) OnNodeDeath(id, "drain");
+  Charge(id, amount,
+         obs::EnergyLedger::CellIndex(obs::EnergyDirection::kTx, as_type),
+         current_trace_, "drain");
 }
 
 void Simulator::Kill(NodeId id) {

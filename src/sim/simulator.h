@@ -159,20 +159,20 @@ class Simulator {
   obs::Tracer* tracer() { return tracer_; }
 
   /// Attaches an energy ledger (nullptr detaches). Not owned. With a
-  /// ledger attached every charge site reports its applied drain — typed
-  /// by message, direction and (when tracing) causal root kind; without
-  /// one each site pays a single null-pointer branch.
+  /// ledger attached every battery drain reports its applied charge —
+  /// typed by message, direction and (when tracing) causal root kind.
+  /// Every drain goes through Charge, so the ledger is one branch there.
   void SetEnergyLedger(obs::EnergyLedger* ledger) { energy_ledger_ = ledger; }
   obs::EnergyLedger* energy_ledger() { return energy_ledger_; }
 
   /// Attaches a per-link observer (nullptr detaches). Not owned. With one
   /// attached, every addressed delivery/loss and every snoop records the
-  /// directed link's outcome (a fixed-table probe, never allocating);
-  /// without one each site pays a single null-pointer branch.
+  /// directed link's outcome (a fixed-table probe, never allocating).
+  /// Every outcome goes through RecordOutcome, so the observer is one
+  /// branch there.
   void SetLinkObserver(obs::LinkObserver* observer) {
     link_observer_ = observer;
   }
-  obs::LinkObserver* link_observer() { return link_observer_; }
 
   /// The causal context of the event currently executing (unsampled when
   /// tracing is off or the current event has no traced cause).
@@ -222,9 +222,19 @@ class Simulator {
   };
 
   void Deliver(NodeId to, const Message& msg, bool snooped);
+  /// The one battery drain: consumes `amount` from `id`, records the
+  /// applied charge in the ledger's `cell` under `ctx`'s trace root, and
+  /// books a death under `cause` when this drain emptied the battery.
+  void Charge(NodeId id, double amount, size_t cell, const TraceContext& ctx,
+              const char* cause);
+  /// The one receiver outcome (deliver, snoop or addressed loss) of a
+  /// transmission from `from` to `to`: Metrics, the profiler's HotOp, the
+  /// link observer and the tracer (when `span` is sampled).
+  void RecordOutcome(NodeId from, NodeId to, MessageType type,
+                     RadioEventKind kind, const TraceContext& span);
   /// Ledger attribution slot of `ctx`'s trace root (-1 when untraced).
   int RootSlotOf(const TraceContext& ctx) const;
-  /// Death bookkeeping shared by every charge site: net.node_deaths,
+  /// Death bookkeeping shared by Charge and Kill: net.node_deaths,
   /// ledger death tick, and the frozen-schema node_death journal event.
   void OnNodeDeath(NodeId id, const char* cause);
   /// Pops a pooled delivery record (allocating only when the pool is dry).

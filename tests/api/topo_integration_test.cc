@@ -1,5 +1,6 @@
 // End-to-end tests of the topology & churn observatory through the
-// public API: the link observer rides real protocol traffic, a forced
+// public API: the link observer rides real protocol traffic and counts
+// every outcome exactly as Metrics and the energy ledger do, a forced
 // partition moves topo.partitions and trips a topology SLO exactly when
 // the network splits, re-election shows up as churn, the auto-sized link
 // table holds a static deployment but not a moving one, and the topo
@@ -15,6 +16,7 @@
 #include "common/geometry.h"
 #include "common/rng.h"
 #include "data/random_walk.h"
+#include "obs/energy_ledger.h"
 #include "obs/journal.h"
 #include "obs/topo.h"
 
@@ -86,29 +88,61 @@ TEST(TopoIntegrationTest, PartitionMovesGaugesAndTripsTheSloExactlyOnce) {
 
 TEST(TopoIntegrationTest, LinkObserverRidesProtocolTraffic) {
   NetworkConfig config;
-  config.num_nodes = 10;
-  config.transmission_range = 0.8;
+  config.num_nodes = 60;
+  config.transmission_range = 0.3;
   config.loss_probability = 0.2;
   config.snoop_probability = 0.3;
+  config.energy.rx_cost = 0.25;
   config.seed = 3;
   SensorNetwork net(config);
   net.EnableTopologyMonitor();  // without telemetry: observer still feeds
-  net.RunElection(0);
+  const obs::EnergyLedger& ledger = net.EnableEnergyLedger();
+  net.ScheduleTrainingBroadcasts(0, 10);
+  net.RunUntil(10);
+  net.RunElection(net.now());
+  const Time first = net.now() + 20;
+  net.ScheduleMaintenance(first, first + 200, 20);
+  net.RunAll();
 
+  // Every receiver outcome reaches every sink exactly once: the link
+  // table, Metrics and the ledger count the same deliveries, addressed
+  // losses and snoops.
   const obs::LinkObserver& observer =
       net.topology_monitor()->link_observer();
   EXPECT_GT(observer.num_links(), 0u);
-  uint64_t deliveries = 0, losses = 0;
+  EXPECT_EQ(observer.dropped_records(), 0u);
+  uint64_t deliveries = 0, losses = 0, snoops = 0;
   for (const obs::LinkStats& l : observer.SortedLinks()) {
     deliveries += l.deliveries;
     losses += l.losses;
+    snoops += l.snoops;
+  }
+  const Metrics& metrics = net.sim().metrics();
+  uint64_t snooped = 0;
+  for (size_t t = 0; t < kNumMessageTypes; ++t) {
+    snooped += metrics.snooped(static_cast<MessageType>(t));
   }
   EXPECT_GT(deliveries, 0u);
-  EXPECT_GT(losses, 0u);  // 20% loss over an election: some must drop
+  EXPECT_GT(losses, 0u);  // 20% loss: some must drop
+  EXPECT_GT(snoops, 0u);
+  EXPECT_EQ(deliveries, metrics.total_delivered());
+  EXPECT_EQ(losses, metrics.total_lost());
+  EXPECT_EQ(snoops, snooped);
+
+  // Dyadic costs and no deaths: the direction totals are exact.
+  ASSERT_EQ(metrics.node_deaths(), 0u);
+  const obs::EnergyLedgerSnapshot snap = ledger.TakeSnapshot();
+  const EnergyModel& energy = config.energy;
+  EXPECT_EQ(snap.DirectionJoules(obs::EnergyDirection::kTx),
+            static_cast<double>(metrics.total_sent()) * energy.tx_cost);
+  EXPECT_EQ(snap.DirectionJoules(obs::EnergyDirection::kRx),
+            static_cast<double>(deliveries) * energy.rx_cost);
+  EXPECT_EQ(snap.DirectionJoules(obs::EnergyDirection::kSnoop),
+            static_cast<double>(snoops) * energy.rx_cost);
 
   // Sampling without telemetry publishes gauges directly.
-  const obs::TopologySnapshot& snap = net.SampleTopologyNow();
-  EXPECT_EQ(snap.num_live, 10u);
+  const obs::TopologySnapshot& topo = net.SampleTopologyNow();
+  EXPECT_EQ(topo.num_live, 60u);
   EXPECT_GT(net.sim().registry().GetGauge("topo.links_observed")->value(),
             0.0);
 }

@@ -76,12 +76,16 @@ TEST(EnergyLedgerAllocTest, RecordAndUpdateGaugesNeverAllocate) {
   const uint64_t before = Allocations();
   for (Time t = 1; t <= kIterations; ++t) {
     const NodeId node = static_cast<NodeId>(t % 100);
-    ledger.RecordMessage(node, MessageType::kHeartbeat,
-                         obs::EnergyDirection::kTx, 1.0, /*root_slot=*/2);
-    ledger.RecordMessage(node, MessageType::kData, obs::EnergyDirection::kRx,
-                         0.25);
-    ledger.RecordCacheOp(node, 0.1);
-    ledger.RecordDirect(node, 0.5);
+    ledger.Record(node,
+                  obs::EnergyLedger::CellIndex(obs::EnergyDirection::kTx,
+                                               MessageType::kHeartbeat),
+                  1.0, /*root_slot=*/2);
+    ledger.Record(node,
+                  obs::EnergyLedger::CellIndex(obs::EnergyDirection::kRx,
+                                               MessageType::kData),
+                  0.25);
+    ledger.Record(node, obs::EnergyLedger::CacheCell(), 0.1);
+    ledger.Record(node, obs::EnergyLedger::DirectCell(), 0.5);
     ledger.UpdateGauges(t);
   }
   EXPECT_EQ(Allocations() - before, 0u);

@@ -13,6 +13,11 @@
 namespace snapq::obs {
 namespace {
 
+/// The ledger cell of a message-layer drain.
+size_t Cell(EnergyDirection dir, MessageType type) {
+  return EnergyLedger::CellIndex(dir, type);
+}
+
 EnergyModel SmallBattery(double capacity) {
   EnergyModel m;
   m.initial_battery = capacity;
@@ -39,9 +44,9 @@ TEST(EnergyLedgerTest, MessageDrainLandsInTheRightCell) {
   MetricRegistry registry;
   EnergyLedger ledger(SmallBattery(10.0), 3, &registry);
 
-  ledger.RecordMessage(1, MessageType::kHeartbeat, EnergyDirection::kTx, 1.0);
-  ledger.RecordMessage(2, MessageType::kHeartbeat, EnergyDirection::kRx, 0.25);
-  ledger.RecordMessage(0, MessageType::kData, EnergyDirection::kSnoop, 0.25);
+  ledger.Record(1, Cell(EnergyDirection::kTx, MessageType::kHeartbeat), 1.0);
+  ledger.Record(2, Cell(EnergyDirection::kRx, MessageType::kHeartbeat), 0.25);
+  ledger.Record(0, Cell(EnergyDirection::kSnoop, MessageType::kData), 0.25);
 
   EXPECT_EQ(ledger.cell(1, EnergyLedger::CellIndex(EnergyDirection::kTx,
                                                    MessageType::kHeartbeat)),
@@ -63,8 +68,8 @@ TEST(EnergyLedgerTest, NonMessageSitesUseTheTrailingCells) {
   MetricRegistry registry;
   EnergyLedger ledger(SmallBattery(10.0), 2, &registry);
 
-  ledger.RecordCacheOp(0, 0.125);
-  ledger.RecordDirect(0, 0.5);
+  ledger.Record(0, EnergyLedger::CacheCell(), 0.125);
+  ledger.Record(0, EnergyLedger::DirectCell(), 0.5);
   ledger.RecordKillDiscard(1, 7.75);
 
   EXPECT_EQ(ledger.cell(0, EnergyLedger::CacheCell()), 0.125);
@@ -88,12 +93,13 @@ TEST(EnergyLedgerTest, RootSlotAttributionFoldsInvalidSlotsIntoUntraced) {
   MetricRegistry registry;
   EnergyLedger ledger(SmallBattery(10.0), 1, &registry);
 
-  ledger.RecordMessage(0, MessageType::kInvitation, EnergyDirection::kTx, 1.0,
-                       /*root_slot=*/0);  // election root
-  ledger.RecordCacheOp(0, 0.5, /*root_slot=*/3);  // query root
-  ledger.RecordDirect(0, 0.25, /*root_slot=*/-1);
-  ledger.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 0.125,
-                       /*root_slot=*/99);  // out of range
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kInvitation), 1.0,
+                /*root_slot=*/0);  // election root
+  ledger.Record(0, EnergyLedger::CacheCell(), 0.5,
+                /*root_slot=*/3);  // query root
+  ledger.Record(0, EnergyLedger::DirectCell(), 0.25, /*root_slot=*/-1);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 0.125,
+                /*root_slot=*/99);  // out of range
 
   EXPECT_EQ(ledger.RootKindJoules(0), 1.0);
   EXPECT_EQ(ledger.RootKindJoules(3), 0.5);
@@ -116,9 +122,9 @@ TEST(EnergyLedgerTest, UpdateGaugesPublishesDrainAndBurnRate) {
   MetricRegistry registry;
   EnergyLedger ledger(SmallBattery(100.0), 2, &registry);
 
-  ledger.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 4.0);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 4.0);
   ledger.UpdateGauges(0);
-  ledger.RecordMessage(1, MessageType::kData, EnergyDirection::kTx, 6.0);
+  ledger.Record(1, Cell(EnergyDirection::kTx, MessageType::kData), 6.0);
   ledger.UpdateGauges(2);
 
   EXPECT_EQ(registry.GetGauge("energy.drained")->value(), 10.0);
@@ -135,7 +141,7 @@ TEST(EnergyLedgerTest, DecliningChargeProjectsAFirstDeathTick) {
   // 90 J to run out ~90 ticks past the last sample.
   for (Time t = 0; t <= 10; ++t) {
     if (t > 0) {
-      ledger.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 1.0);
+      ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 1.0);
     }
     ledger.UpdateGauges(t);
   }
@@ -154,7 +160,7 @@ TEST(EnergyLedgerTest, ActualDeathDominatesTheProjection) {
 TEST(EnergyLedgerTest, UnlimitedModelSkipsRemainingAndForecastGauges) {
   MetricRegistry registry;
   EnergyLedger ledger(EnergyModel::Unlimited(), 2, &registry);
-  ledger.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 1.0);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 1.0);
   ledger.UpdateGauges(5);
 
   const std::string json = registry.ToJson();
@@ -171,9 +177,9 @@ TEST(EnergyLedgerTest, UnlimitedModelSkipsRemainingAndForecastGauges) {
 TEST(EnergyLedgerSnapshotTest, SnapshotCapturesTheLedger) {
   MetricRegistry registry;
   EnergyLedger ledger(SmallBattery(10.0), 2, &registry);
-  ledger.RecordMessage(0, MessageType::kHeartbeat, EnergyDirection::kTx, 1.0,
-                       /*root_slot=*/2);
-  ledger.RecordCacheOp(1, 0.5);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kHeartbeat), 1.0,
+                /*root_slot=*/2);
+  ledger.Record(1, EnergyLedger::CacheCell(), 0.5);
   ledger.RecordDeath(1, 42);
   ledger.UpdateGauges(50);
 
@@ -199,10 +205,10 @@ TEST(EnergyLedgerSnapshotTest, MergeFromAddsIndexwise) {
   MetricRegistry registry;
   EnergyLedger a(SmallBattery(10.0), 2, &registry);
   EnergyLedger b(SmallBattery(10.0), 2, &registry);
-  a.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 1.0);
+  a.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 1.0);
   a.RecordDeath(0, 5);
-  b.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 0.5);
-  b.RecordCacheOp(1, 0.25);
+  b.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 0.5);
+  b.Record(1, EnergyLedger::CacheCell(), 0.25);
 
   EnergyLedgerSnapshot merged = a.TakeSnapshot();
   ASSERT_TRUE(merged.MergeFrom(b.TakeSnapshot()));
@@ -230,8 +236,8 @@ TEST(EnergyLedgerSnapshotTest, MergeFromRejectsShapeMismatch) {
 TEST(EnergyLedgerTest, ToTableNamesEveryActiveCause) {
   MetricRegistry registry;
   EnergyLedger ledger(SmallBattery(10.0), 1, &registry);
-  ledger.RecordMessage(0, MessageType::kInvitation, EnergyDirection::kTx, 2.0);
-  ledger.RecordCacheOp(0, 0.5);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kInvitation), 2.0);
+  ledger.Record(0, EnergyLedger::CacheCell(), 0.5);
   const std::string table = ledger.ToTable();
   EXPECT_NE(table.find("election"), std::string::npos);
   EXPECT_NE(table.find("cache"), std::string::npos);

@@ -14,6 +14,11 @@
 namespace snapq::obs {
 namespace {
 
+/// The ledger cell of a message-layer drain.
+size_t Cell(EnergyDirection dir, MessageType type) {
+  return EnergyLedger::CellIndex(dir, type);
+}
+
 /// A tiny deterministic ledger exercising every section of the document:
 /// a traced election exchange, a traced query reply, a cache charge, a
 /// direct drain, a forced-kill discard and one death.
@@ -22,14 +27,14 @@ EnergyLedgerSnapshot GoldenSnapshot() {
   EnergyModel model;
   model.initial_battery = 8.0;
   EnergyLedger ledger(model, 2, &registry);
-  ledger.RecordMessage(0, MessageType::kInvitation, EnergyDirection::kTx, 1.0,
-                       /*root_slot=*/0);
-  ledger.RecordMessage(1, MessageType::kInvitation, EnergyDirection::kRx, 0.25,
-                       /*root_slot=*/0);
-  ledger.RecordCacheOp(1, 0.125);
-  ledger.RecordMessage(1, MessageType::kQueryReply, EnergyDirection::kTx, 0.5,
-                       /*root_slot=*/3);
-  ledger.RecordDirect(0, 0.5);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kInvitation), 1.0,
+                /*root_slot=*/0);
+  ledger.Record(1, Cell(EnergyDirection::kRx, MessageType::kInvitation), 0.25,
+                /*root_slot=*/0);
+  ledger.Record(1, EnergyLedger::CacheCell(), 0.125);
+  ledger.Record(1, Cell(EnergyDirection::kTx, MessageType::kQueryReply), 0.5,
+                /*root_slot=*/3);
+  ledger.Record(0, EnergyLedger::DirectCell(), 0.5);
   ledger.RecordKillDiscard(0, 6.5);
   ledger.RecordDeath(0, 7);
   ledger.UpdateGauges(9);
@@ -94,7 +99,7 @@ TEST(EnergyMapSchemaTest, ConservationHoldsInTheDocumentItself) {
 TEST(EnergyMapSchemaTest, UnlimitedBatteryNeverEmitsInfinity) {
   static MetricRegistry registry;
   EnergyLedger ledger(EnergyModel::Unlimited(), 1, &registry);
-  ledger.RecordMessage(0, MessageType::kData, EnergyDirection::kTx, 2.0);
+  ledger.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 2.0);
   EnergyMapMeta meta;
   meta.benchmark = "unlimited";
   const std::string json =

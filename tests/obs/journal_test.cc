@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include "obs/json.h"
+
 namespace snapq::obs {
 namespace {
 
@@ -40,6 +42,18 @@ TEST(ObsJournalTest, ParseRejectsMalformedLines) {
       JournalEvent::Parse("{\"event\":\"x\"}").has_value());  // no t
   EXPECT_FALSE(JournalEvent::Parse("{\"event\":\"x\",\"t\":1")
                    .has_value());  // truncated
+  // Lines ValidateJson rejects: the flat parser shares its grammar.
+  for (const char* bad :
+       {"{\"event\":\"x\",\"t\":inf}", "{\"event\":\"x\",\"t\":0x10}",
+        "{\"event\":\"x\",\"t\":+1}", "{\"event\":\"x\",\"t\":01}",
+        "{\"event\":\"x\",\"t\":.5}", "{\"event\":\"x\x01\",\"t\":1}",
+        "{\"event\":\"x\",\"t\":1,}"}) {
+    EXPECT_FALSE(ValidateJson(bad)) << bad;
+    EXPECT_FALSE(JournalEvent::Parse(bad).has_value()) << bad;
+  }
+  // Valid JSON, but not flat.
+  EXPECT_FALSE(
+      JournalEvent::Parse("{\"event\":\"x\",\"t\":1,\"a\":[1]}").has_value());
 }
 
 TEST(ObsJournalTest, EscapedStringsSurviveRoundTrip) {
@@ -49,6 +63,12 @@ TEST(ObsJournalTest, EscapedStringsSurviveRoundTrip) {
       JournalEvent::Parse(event.ToJsonLine());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->GetStr("sql"), "SELECT \"x\"\n\tFROM y\\z");
+  // Our writers emit a backspace as \u0008, but the short escape is JSON.
+  const std::string backspace = "{\"event\":\"x\",\"t\":1,\"s\":\"a\\bz\"}";
+  ASSERT_TRUE(ValidateJson(backspace));
+  const std::optional<JournalEvent> decoded = JournalEvent::Parse(backspace);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->GetStr("s"), "a\bz");
 }
 
 TEST(ObsJournalTest, DisabledJournalSkipsFillCallback) {

@@ -36,9 +36,10 @@ GoldenScenario BuildGolden() {
   view.representative[2] = 1;
 
   LinkObserver observer(3);
-  observer.RecordDelivery(1, 0, 5);  // ewma 1
-  observer.RecordLoss(1, 2, 6);      // ewma 0
-  observer.RecordSnoop(0, 2, 8);     // never addressed: ewma stays -1
+  observer.Record(1, 0, RadioEventKind::kDeliver, 5);  // ewma 1
+  observer.Record(1, 2, RadioEventKind::kLoss, 6);     // ewma 0
+  // Never addressed: ewma stays -1.
+  observer.Record(0, 2, RadioEventKind::kSnoop, 8);
 
   g.snap = AnalyzeTopology(links, view, 9);
   g.snap.weak_links = 1;  // what the monitor would fill from the observer

@@ -28,7 +28,7 @@ namespace {
 TEST(LinkObserverTest, RecordsOutcomesAndEwma) {
   obs::LinkObserver observer(4);
   EXPECT_EQ(observer.capacity(), 12u);  // 4*3 ordered pairs
-  observer.RecordDelivery(0, 1, 10);
+  observer.Record(0, 1, RadioEventKind::kDeliver, 10);
   const obs::LinkStats* link = observer.Find(0, 1);
   ASSERT_NE(link, nullptr);
   EXPECT_EQ(link->deliveries, 1u);
@@ -36,20 +36,20 @@ TEST(LinkObserverTest, RecordsOutcomesAndEwma) {
   EXPECT_DOUBLE_EQ(link->ewma_delivery, 1.0);  // first outcome seeds
   EXPECT_EQ(link->last_activity, 10);
 
-  observer.RecordLoss(0, 1, 11);
+  observer.Record(0, 1, RadioEventKind::kLoss, 11);
   EXPECT_EQ(link->losses, 1u);
   EXPECT_EQ(link->attempts(), 2u);
   EXPECT_DOUBLE_EQ(link->ewma_delivery, 1.0 - obs::kLinkEwmaAlpha);
   EXPECT_EQ(link->last_activity, 11);
 
   // Snoops count separately and do not move the delivery EWMA.
-  observer.RecordSnoop(0, 1, 12);
+  observer.Record(0, 1, RadioEventKind::kSnoop, 12);
   EXPECT_EQ(link->snoops, 1u);
   EXPECT_EQ(link->attempts(), 2u);
   EXPECT_DOUBLE_EQ(link->ewma_delivery, 1.0 - obs::kLinkEwmaAlpha);
 
   // A link whose first outcome is a loss seeds the EWMA at 0.
-  observer.RecordLoss(1, 0, 13);
+  observer.Record(1, 0, RadioEventKind::kLoss, 13);
   ASSERT_NE(observer.Find(1, 0), nullptr);
   EXPECT_DOUBLE_EQ(observer.Find(1, 0)->ewma_delivery, 0.0);
 
@@ -60,10 +60,10 @@ TEST(LinkObserverTest, RecordsOutcomesAndEwma) {
 
 TEST(LinkObserverTest, SortedLinksOrderedByFromThenTo) {
   obs::LinkObserver observer(5);
-  observer.RecordDelivery(3, 1, 1);
-  observer.RecordDelivery(0, 4, 2);
-  observer.RecordDelivery(0, 2, 3);
-  observer.RecordDelivery(3, 0, 4);
+  observer.Record(3, 1, RadioEventKind::kDeliver, 1);
+  observer.Record(0, 4, RadioEventKind::kDeliver, 2);
+  observer.Record(0, 2, RadioEventKind::kDeliver, 3);
+  observer.Record(3, 0, RadioEventKind::kDeliver, 4);
   const std::vector<obs::LinkStats> links = observer.SortedLinks();
   ASSERT_EQ(links.size(), 4u);
   EXPECT_EQ(links[0].from, 0u);
@@ -78,11 +78,12 @@ TEST(LinkObserverTest, SortedLinksOrderedByFromThenTo) {
 
 TEST(LinkObserverTest, CapacityOverflowCountsDroppedRecords) {
   obs::LinkObserver observer(100, /*max_links=*/2);
-  observer.RecordDelivery(0, 1, 1);
-  observer.RecordDelivery(0, 2, 1);
-  observer.RecordDelivery(0, 3, 1);  // table full: dropped
-  observer.RecordLoss(0, 4, 2);      // dropped too
-  observer.RecordDelivery(0, 1, 3);  // existing link still updates
+  observer.Record(0, 1, RadioEventKind::kDeliver, 1);
+  observer.Record(0, 2, RadioEventKind::kDeliver, 1);
+  observer.Record(0, 3, RadioEventKind::kDeliver, 1);  // table full: dropped
+  observer.Record(0, 4, RadioEventKind::kLoss, 2);     // dropped too
+  // An existing link still updates.
+  observer.Record(0, 1, RadioEventKind::kDeliver, 3);
   EXPECT_EQ(observer.num_links(), 2u);
   EXPECT_EQ(observer.dropped_records(), 2u);
   EXPECT_EQ(observer.Find(0, 3), nullptr);
@@ -92,12 +93,14 @@ TEST(LinkObserverTest, CapacityOverflowCountsDroppedRecords) {
 TEST(LinkObserverTest, CountWeakLinksHonorsThresholdAndMinAttempts) {
   obs::LinkObserver observer(4);
   // Link (0,1): 10 losses -> ewma 0, attempts 10: weak.
-  for (int i = 0; i < 10; ++i) observer.RecordLoss(0, 1, i);
+  for (int i = 0; i < 10; ++i) observer.Record(0, 1, RadioEventKind::kLoss, i);
   // Link (0,2): 10 deliveries -> ewma 1: strong.
-  for (int i = 0; i < 10; ++i) observer.RecordDelivery(0, 2, i);
+  for (int i = 0; i < 10; ++i) {
+    observer.Record(0, 2, RadioEventKind::kDeliver, i);
+  }
   // Link (0,3): 2 losses -> too few attempts to call.
-  observer.RecordLoss(0, 3, 0);
-  observer.RecordLoss(0, 3, 1);
+  observer.Record(0, 3, RadioEventKind::kLoss, 0);
+  observer.Record(0, 3, RadioEventKind::kLoss, 1);
   EXPECT_EQ(observer.CountWeakLinks(0.5, 8), 1u);
   EXPECT_EQ(observer.CountWeakLinks(0.5, 2), 2u);
 }
@@ -606,7 +609,7 @@ TEST(TopologyMonitorTest, SamplePublishesGaugesAndJournalEvent) {
 
   // Feed the observer one weak link (>= 8 addressed outcomes, all lost).
   for (int i = 0; i < 10; ++i) {
-    monitor.link_observer().RecordLoss(0, 1, i);
+    monitor.link_observer().Record(0, 1, RadioEventKind::kLoss, i);
   }
   const obs::TopologySnapshot& snap = monitor.Sample(links, 50);
   EXPECT_EQ(snap.partitions, 1u);
