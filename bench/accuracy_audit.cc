@@ -59,15 +59,15 @@ struct CellResult {
 };
 
 std::string CellsToJson(const std::vector<CellResult>& cells,
-                        const std::string& name, int repetitions, bool quick,
-                        double error_budget) {
+                        const std::string& name, int repetitions,
+                        bool quick) {
   using obs::JsonNumber;
   std::string out = "{\"schema_version\": 1";
   out += ", \"kind\": \"snapq-accuracy\"";
   out += ", \"benchmark\": \"" + obs::JsonEscape(name) + "\"";
   out += ", \"repetitions\": " + std::to_string(repetitions);
   out += std::string(", \"quick\": ") + (quick ? "true" : "false");
-  out += ", \"error_budget\": " + JsonNumber(error_budget);
+  out += ", \"error_budget\": " + JsonNumber(obs::kAccuracyErrorBudget);
   out += ", \"cells\": [";
   bool first = true;
   for (const CellResult& c : cells) {
@@ -79,8 +79,7 @@ std::string CellsToJson(const std::vector<CellResult>& cells,
     out += ", \"violations\": " + std::to_string(c.violations);
     out += ", \"violation_rate\": " + JsonNumber(c.violation_rate());
     out += ", \"budget_burn\": " +
-           JsonNumber(error_budget > 0.0 ? c.violation_rate() / error_budget
-                                         : 0.0);
+           JsonNumber(c.violation_rate() / obs::kAccuracyErrorBudget);
     out += ", \"discovery_audited\": " + std::to_string(c.discovery_audited);
     out +=
         ", \"discovery_violations\": " + std::to_string(c.discovery_violations);
@@ -106,7 +105,6 @@ SNAPQ_BENCHMARK(accuracy_audit,
       "representation sweep), then a drifting window with maintenance "
       "repairs, sweep-audited every tick");
 
-  const obs::AccuracyAuditConfig audit_config;  // default 1% error budget
   const Time drift_ticks = ctx.Scaled(kDriftTicks);
   std::vector<CellResult> cells;
   bool lossless_violation = false;
@@ -130,7 +128,7 @@ SNAPQ_BENCHMARK(accuracy_audit,
         config.seed = seed;
         SensitivityOutcome outcome = RunSensitivityTrial(config);
         SensorNetwork& net = *outcome.network;
-        obs::AccuracyAuditor& audit = net.EnableAccuracyAudit(audit_config);
+        obs::AccuracyAuditor& audit = net.EnableAccuracyAudit();
 
         // Phase 1 (frozen data): the query-path hook, then the sweep.
         (void)net.Query("SELECT avg(value) FROM sensors USE SNAPSHOT");
@@ -174,7 +172,7 @@ SNAPQ_BENCHMARK(accuracy_audit,
                     std::to_string(cell.violations),
                     TablePrinter::Num(cell.violation_rate(), 4),
                     TablePrinter::Num(
-                        cell.violation_rate() / audit_config.error_budget, 2),
+                        cell.violation_rate() / obs::kAccuracyErrorBudget, 2),
                     TablePrinter::Num(cell.errors.Percentile(50.0), 4),
                     TablePrinter::Num(cell.errors.Percentile(99.0), 4),
                     TablePrinter::Num(cell.errors.max_seen(), 4)});
@@ -188,8 +186,7 @@ SNAPQ_BENCHMARK(accuracy_audit,
     const std::string path =
         bench::SidecarPath(base.c_str(), ".accuracy.json");
     if (obs::WriteTextFileAtomic(
-            path, CellsToJson(cells, ctx.name, ctx.repetitions, ctx.quick,
-                              audit_config.error_budget))) {
+            path, CellsToJson(cells, ctx.name, ctx.repetitions, ctx.quick))) {
       std::printf("accuracy sidecar: %s\n", path.c_str());
     } else {
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());

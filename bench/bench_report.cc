@@ -22,12 +22,17 @@ std::string BenchReport::ToJson() const {
   for (const BenchmarkResult& b : benchmarks) {
     if (!first_bench) out += ',';
     first_bench = false;
-    out += "{\"name\":\"" + JsonEscape(b.name) + "\",\"counters\":{";
+    out += "{\"name\":\"";
+    out += JsonEscape(b.name);
+    out += "\",\"counters\":{";
     bool first = true;
     for (const auto& [key, value] : b.counters) {
       if (!first) out += ',';
       first = false;
-      out += "\"" + JsonEscape(key) + "\":" + std::to_string(value);
+      out += '"';
+      out += JsonEscape(key);
+      out += "\":";
+      out += std::to_string(value);
     }
     out += "}}";
   }

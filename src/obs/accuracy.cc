@@ -19,11 +19,9 @@ const char* AuditSourceName(AuditSource source) {
   return "?";
 }
 
-AccuracyAuditor::AccuracyAuditor(const AccuracyAuditConfig& config,
-                                 size_t num_nodes, MetricRegistry* registry,
+AccuracyAuditor::AccuracyAuditor(size_t num_nodes, MetricRegistry* registry,
                                  EventJournal* journal)
-    : config_(config),
-      num_nodes_(num_nodes),
+    : num_nodes_(num_nodes),
       journal_(journal),
       gauges_(registry,
               {"accuracy.violation_rate", "accuracy.budget_burn",
@@ -31,21 +29,17 @@ AccuracyAuditor::AccuracyAuditor(const AccuracyAuditConfig& config,
       audited_counter_(registry->GetCounter("accuracy.audited")),
       violations_counter_(registry->GetCounter("accuracy.violations")),
       rounds_counter_(registry->GetCounter("accuracy.rounds")),
-      reporter_violations_(num_nodes, 0) {
-  SNAPQ_CHECK_GT(config.window, 0);
-  if (config_.per_node) {
-    node_hist_.resize(num_nodes);
-    node_violations_.assign(num_nodes, 0);
-    node_last_error_.assign(num_nodes, 0.0);
-  }
-}
+      node_hist_(num_nodes),
+      node_violations_(num_nodes, 0),
+      node_last_error_(num_nodes, 0.0),
+      reporter_violations_(num_nodes, 0) {}
 
 void AccuracyAuditor::BeginRound(AuditSource source, int64_t origin,
                                  double threshold, Time t) {
   SNAPQ_CHECK(!in_round_);
-  if (t >= window_start_ + config_.window) {
+  if (t >= window_start_ + kAccuracyWindow) {
     // Tumble: realign the window grid to cover `t` and reset its counters.
-    window_start_ += ((t - window_start_) / config_.window) * config_.window;
+    window_start_ += ((t - window_start_) / kAccuracyWindow) * kAccuracyWindow;
     window_audited_ = 0;
     window_violations_ = 0;
   }
@@ -75,7 +69,7 @@ void AccuracyAuditor::ObserveEstimate(NodeId node, NodeId reporter,
       ++reporter_violations_[reporter];
     }
   }
-  if (config_.per_node && node < node_hist_.size()) {
+  if (node < node_hist_.size()) {
     node_hist_[node].Observe(abs_error);
     node_last_error_[node] = signed_error;
     if (violation) ++node_violations_[node];
@@ -120,8 +114,7 @@ double AccuracyAuditor::violation_rate() const {
 }
 
 double AccuracyAuditor::budget_burn() const {
-  return config_.error_budget <= 0.0 ? 0.0
-                                     : violation_rate() / config_.error_budget;
+  return violation_rate() / kAccuracyErrorBudget;
 }
 
 void AccuracyAuditor::UpdateGauges() {
@@ -133,7 +126,7 @@ void AccuracyAuditor::UpdateGauges() {
 
 AuditNodeStats AccuracyAuditor::NodeStats(NodeId node) const {
   AuditNodeStats stats;
-  if (!config_.per_node || node >= node_hist_.size()) return stats;
+  if (node >= node_hist_.size()) return stats;
   const LogHistogram& hist = node_hist_[node];
   stats.audited = hist.count();
   stats.violations = node_violations_[node];
@@ -178,7 +171,7 @@ std::string AccuracyAuditor::ToTable() const {
       static_cast<unsigned long long>(audited_),
       static_cast<unsigned long long>(violations_),
       static_cast<unsigned long long>(rounds_), violation_rate(),
-      config_.error_budget, budget_burn());
+      kAccuracyErrorBudget, budget_burn());
   return os.str();
 }
 

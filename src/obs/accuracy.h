@@ -9,8 +9,8 @@
 //
 //   accuracy.violation_rate   fraction of audited estimates in the current
 //                             budget window with d(x, x̂) > effective T;
-//   accuracy.budget_burn      violation_rate / error_budget — 1.0 means
-//                             the window's budget is exactly spent;
+//   accuracy.budget_burn      violation_rate / kAccuracyErrorBudget — 1.0
+//                             means the window's budget is exactly spent;
 //   accuracy.max_abs_error    largest |x − x̂| audited since construction;
 //   accuracy.mean_abs_error   mean |x − x̂| since construction;
 //   accuracy.audited /        cumulative estimates audited / found in
@@ -58,20 +58,14 @@ enum class AuditSource : uint8_t {
 /// Stable name ("query" / "sweep"), used in the journal event.
 const char* AuditSourceName(AuditSource source);
 
-struct AccuracyAuditConfig {
-  /// Fraction of audited estimates per window allowed to exceed the
-  /// effective threshold. budget_burn = violation_rate / error_budget, so
-  /// an SLO on `accuracy.budget_burn value <= 1` enforces it directly.
-  double error_budget = 0.01;
-  /// Tumbling budget-window length in sim ticks. Window counters (and the
-  /// violation_rate / budget_burn gauges) reset when a round starts in a
-  /// later window.
-  Time window = 100;
-  /// Keep a per-node error histogram + violation counter (one LogHistogram
-  /// is ~1.7 KB per node). Disable for very large networks; the
-  /// network-wide aggregates remain.
-  bool per_node = true;
-};
+/// Fraction of audited estimates per window allowed to exceed the
+/// effective threshold. budget_burn = violation_rate / kAccuracyErrorBudget,
+/// so an SLO on `accuracy.budget_burn value <= 1` enforces it directly.
+inline constexpr double kAccuracyErrorBudget = 0.01;
+/// Tumbling budget-window length in sim ticks. Window counters (and the
+/// violation_rate / budget_burn gauges) reset when a round starts in a
+/// later window.
+inline constexpr Time kAccuracyWindow = 100;
 
 /// Cumulative audit aggregate for one node (shell `\accuracy` table and
 /// the EXPLAIN ANALYZE "audited" column).
@@ -98,8 +92,8 @@ class AccuracyAuditor {
  public:
   /// Gauges/counters are registered on `registry` immediately and cached;
   /// `journal` (optional) receives one `accuracy_audit` event per round.
-  AccuracyAuditor(const AccuracyAuditConfig& config, size_t num_nodes,
-                  MetricRegistry* registry, EventJournal* journal = nullptr);
+  AccuracyAuditor(size_t num_nodes, MetricRegistry* registry,
+                  EventJournal* journal = nullptr);
 
   /// Starts a round audited against `threshold` (the query's effective T).
   /// `origin` is the query sink, or -1 for a sweep. Rolls the budget
@@ -122,18 +116,17 @@ class AccuracyAuditor {
   uint64_t rounds() const { return rounds_; }
   /// Violations / audited in the current budget window (0 when empty).
   double violation_rate() const;
-  /// violation_rate() / error_budget (0 when the budget is non-positive).
+  /// violation_rate() / kAccuracyErrorBudget.
   double budget_burn() const;
   /// Network-wide |x − x̂| histogram (bucket-exact percentiles).
   const LogHistogram& error_histogram() const { return error_hist_; }
-  /// Per-node cumulative stats; zeros when per_node is off or the node was
-  /// never audited.
+  /// Per-node cumulative stats (one LogHistogram, ~1.7 KB, per node);
+  /// zeros when the node was never audited.
   AuditNodeStats NodeStats(NodeId node) const;
   /// Violations attributed to `reporter` across all rounds — the
   /// byzantine-representative detection signal (ROADMAP 4(c)).
   uint64_t ReporterViolations(NodeId reporter) const;
   size_t num_nodes() const { return num_nodes_; }
-  const AccuracyAuditConfig& config() const { return config_; }
 
   /// Per-node error table + network summary (shell `\accuracy`).
   std::string ToTable() const;
@@ -149,7 +142,6 @@ class AccuracyAuditor {
 
   void UpdateGauges();
 
-  const AccuracyAuditConfig config_;
   const size_t num_nodes_;
   EventJournal* const journal_;
 
@@ -165,9 +157,9 @@ class AccuracyAuditor {
   uint64_t audited_ = 0;
   uint64_t violations_ = 0;
   uint64_t rounds_ = 0;
-  std::vector<LogHistogram> node_hist_;       // per_node only
-  std::vector<uint64_t> node_violations_;     // per_node only
-  std::vector<double> node_last_error_;       // per_node only
+  std::vector<LogHistogram> node_hist_;
+  std::vector<uint64_t> node_violations_;
+  std::vector<double> node_last_error_;
   std::vector<uint64_t> reporter_violations_;
 
   // Tumbling budget window.

@@ -130,37 +130,13 @@ uint64_t EnergyLedgerSnapshot::TotalDeaths() const {
   return total;
 }
 
-bool EnergyLedgerSnapshot::MergeFrom(const EnergyLedgerSnapshot& other) {
-  if (num_nodes != other.num_nodes || cells.size() != other.cells.size() ||
-      root_kind.size() != other.root_kind.size() ||
-      initial_battery != other.initial_battery) {
-    return false;
-  }
-  runs += other.runs;
-  for (size_t i = 0; i < cells.size(); ++i) cells[i] += other.cells[i];
-  for (size_t i = 0; i < drained.size(); ++i) drained[i] += other.drained[i];
-  for (size_t i = 0; i < remaining.size(); ++i) {
-    remaining[i] += other.remaining[i];
-  }
-  for (size_t i = 0; i < deaths.size(); ++i) deaths[i] += other.deaths[i];
-  for (size_t i = 0; i < root_kind.size(); ++i) {
-    root_kind[i] += other.root_kind[i];
-  }
-  first_death_sum += other.first_death_sum;
-  first_death_runs += other.first_death_runs;
-  knee_sum += other.knee_sum;
-  knee_runs += other.knee_runs;
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // EnergyMapToJson
 
 namespace {
 
 void AppendCauseObject(std::ostringstream& out,
-                       const EnergyLedgerSnapshot& snap, NodeId node,
-                       double inv_runs) {
+                       const EnergyLedgerSnapshot& snap, NodeId node) {
   out << "{";
   for (size_t c = 0; c < kNumEnergyCauses; ++c) {
     if (c != 0) out << ", ";
@@ -168,8 +144,7 @@ void AppendCauseObject(std::ostringstream& out,
     const double joules = node == kInvalidNode
                               ? snap.CauseJoules(cause)
                               : snap.NodeCauseJoules(node, cause);
-    out << "\"" << EnergyCauseName(cause) << "\": "
-        << JsonNumber(joules * inv_runs);
+    out << "\"" << EnergyCauseName(cause) << "\": " << JsonNumber(joules);
   }
   out << "}";
 }
@@ -180,13 +155,10 @@ std::string EnergyMapToJson(const EnergyLedgerSnapshot& snap,
                             const std::vector<Point>& positions,
                             const EnergyMapMeta& meta) {
   SNAPQ_CHECK_EQ(positions.size(), snap.num_nodes);
-  SNAPQ_CHECK_GT(snap.runs, 0u);
-  // Joule quantities are per-run means (so --jobs folding and repetition
-  // counts don't change the scale); death counts are raw totals across
-  // runs, with "runs" present so consumers can derive rates. An unlimited
-  // battery reports initial_battery/remaining as -1 (never infinity, which
-  // would serialize as JSON null).
-  const double inv_runs = 1.0 / static_cast<double>(snap.runs);
+  // One run per document: "runs" stays in the frozen schema as 1, and
+  // "deaths" counts the nodes that died. An unlimited battery reports
+  // initial_battery/remaining as -1 (never infinity, which would
+  // serialize as JSON null).
   const bool unlimited = !std::isfinite(snap.initial_battery);
   std::ostringstream out;
   out << "{\n";
@@ -196,49 +168,41 @@ std::string EnergyMapToJson(const EnergyLedgerSnapshot& snap,
   out << "  \"git_sha\": \"" << JsonEscape(meta.git_sha) << "\",\n";
   out << "  \"quick\": " << (meta.quick ? "true" : "false") << ",\n";
   out << "  \"t\": " << meta.t << ",\n";
-  out << "  \"runs\": " << snap.runs << ",\n";
+  out << "  \"runs\": 1,\n";
   out << "  \"num_nodes\": " << snap.num_nodes << ",\n";
   out << "  \"unlimited\": " << (unlimited ? "true" : "false") << ",\n";
   out << "  \"initial_battery\": "
       << JsonNumber(unlimited ? -1.0 : snap.initial_battery) << ",\n";
 
   out << "  \"totals\": {\n";
-  out << "    \"drained\": " << JsonNumber(snap.TotalDrained() * inv_runs)
-      << ",\n";
+  out << "    \"drained\": " << JsonNumber(snap.TotalDrained()) << ",\n";
   double remaining_total = 0.0;
   for (double r : snap.remaining) remaining_total += r;
   out << "    \"remaining\": "
-      << JsonNumber(unlimited ? -1.0 : remaining_total * inv_runs) << ",\n";
+      << JsonNumber(unlimited ? -1.0 : remaining_total) << ",\n";
   out << "    \"deaths\": " << snap.TotalDeaths() << ",\n";
   out << "    \"by_cause\": ";
-  AppendCauseObject(out, snap, kInvalidNode, inv_runs);
+  AppendCauseObject(out, snap, kInvalidNode);
   out << ",\n";
   out << "    \"by_direction\": {";
   for (size_t d = 0; d < kNumEnergyDirections; ++d) {
     if (d != 0) out << ", ";
     const auto dir = static_cast<EnergyDirection>(d);
     out << "\"" << EnergyDirectionName(dir) << "\": "
-        << JsonNumber(snap.DirectionJoules(dir) * inv_runs);
+        << JsonNumber(snap.DirectionJoules(dir));
   }
   out << "},\n";
   out << "    \"by_root_kind\": {";
   for (size_t s = 0; s < snap.root_kind.size(); ++s) {
     if (s != 0) out << ", ";
     out << "\"" << EnergyRootSlotName(s) << "\": "
-        << JsonNumber(snap.root_kind[s] * inv_runs);
+        << JsonNumber(snap.root_kind[s]);
   }
   out << "}\n  },\n";
 
-  const double first_death =
-      snap.first_death_runs == 0
-          ? -1.0
-          : snap.first_death_sum / static_cast<double>(snap.first_death_runs);
-  const double knee = snap.knee_runs == 0
-                          ? -1.0
-                          : snap.knee_sum /
-                                static_cast<double>(snap.knee_runs);
-  out << "  \"forecast\": {\"first_death_tick\": " << JsonNumber(first_death)
-      << ", \"coverage_knee_tick\": " << JsonNumber(knee) << "},\n";
+  out << "  \"forecast\": {\"first_death_tick\": "
+      << JsonNumber(snap.first_death_tick) << ", \"coverage_knee_tick\": "
+      << JsonNumber(snap.coverage_knee_tick) << "},\n";
 
   out << "  \"extras\": {";
   for (size_t i = 0; i < meta.extras.size(); ++i) {
@@ -252,10 +216,10 @@ std::string EnergyMapToJson(const EnergyLedgerSnapshot& snap,
   for (NodeId i = 0; i < snap.num_nodes; ++i) {
     out << "    {\"id\": " << i << ", \"x\": " << JsonNumber(positions[i].x)
         << ", \"y\": " << JsonNumber(positions[i].y) << ", \"remaining\": "
-        << JsonNumber(unlimited ? -1.0 : snap.remaining[i] * inv_runs)
-        << ", \"drained\": " << JsonNumber(snap.drained[i] * inv_runs)
+        << JsonNumber(unlimited ? -1.0 : snap.remaining[i])
+        << ", \"drained\": " << JsonNumber(snap.drained[i])
         << ", \"deaths\": " << snap.deaths[i] << ", \"by_cause\": ";
-    AppendCauseObject(out, snap, i, inv_runs);
+    AppendCauseObject(out, snap, i);
     out << "}" << (i + 1 < snap.num_nodes ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -409,7 +373,6 @@ void EnergyLedger::UpdateGauges(Time now) {
 
 EnergyLedgerSnapshot EnergyLedger::TakeSnapshot() const {
   EnergyLedgerSnapshot s;
-  s.runs = 1;
   s.num_nodes = num_nodes_;
   s.initial_battery = model_.initial_battery;
   s.cells = cells_;
@@ -420,14 +383,8 @@ EnergyLedgerSnapshot EnergyLedger::TakeSnapshot() const {
     if (death_tick_[i] >= 0) s.deaths[i] = 1;
   }
   s.root_kind.assign(root_kind_, root_kind_ + kNumEnergyRootSlots);
-  if (first_death_tick_ >= 0) {
-    s.first_death_sum = first_death_tick_;
-    s.first_death_runs = 1;
-  }
-  if (coverage_knee_tick_ >= 0) {
-    s.knee_sum = coverage_knee_tick_;
-    s.knee_runs = 1;
-  }
+  s.first_death_tick = first_death_tick_;
+  s.coverage_knee_tick = coverage_knee_tick_;
   return s;
 }
 

@@ -110,38 +110,28 @@ const char* EnergyRootSlotName(size_t slot);
 inline constexpr size_t kEnergyCellsPerNode =
     kNumEnergyDirections * kNumMessageTypes + 3;
 
-/// Value capture of a ledger, for deterministic cross-run folding: bench
-/// drivers snapshot each parallel trial's ledger and MergeFrom them in
-/// task-index order, so a --jobs N run produces bit-identical energy maps
-/// to the serial run (cells and drains add; `remaining` sums across runs
-/// and is reported as the per-run mean).
+/// Value capture of one run's ledger, for the energy map sidecar. Each
+/// parallel trial owns its ledger and takes its own snapshot, so a
+/// --jobs N run writes the same energy maps as the serial run.
 struct EnergyLedgerSnapshot {
-  uint64_t runs = 0;
   size_t num_nodes = 0;
   double initial_battery = 0.0;
   std::vector<double> cells;      ///< num_nodes * kEnergyCellsPerNode
-  std::vector<double> drained;    ///< per node, summed across runs
-  std::vector<double> remaining;  ///< per node, summed across runs
-  std::vector<uint64_t> deaths;   ///< per node, death count across runs
+  std::vector<double> drained;    ///< per node
+  std::vector<double> remaining;  ///< per node
+  std::vector<uint64_t> deaths;   ///< per node, 1 once it died
   std::vector<double> root_kind;  ///< kNumEnergyRootSlots totals
-  // Forecast folding: sums over the runs that had a forecast.
-  double first_death_sum = 0.0;
-  uint64_t first_death_runs = 0;
-  double knee_sum = 0.0;
-  uint64_t knee_runs = 0;
+  /// The ledger's forecasts at capture time; -1 when there was none.
+  double first_death_tick = -1.0;
+  double coverage_knee_tick = -1.0;
 
-  /// Joules a node spent on one cause (summed across runs).
+  /// Joules a node spent on one cause.
   double NodeCauseJoules(NodeId node, EnergyCause cause) const;
   /// Network-wide joules per cause / per direction.
   double CauseJoules(EnergyCause cause) const;
   double DirectionJoules(EnergyDirection dir) const;
   double TotalDrained() const;
   uint64_t TotalDeaths() const;
-
-  /// Folds `other` in (index-order reduction). Returns false — leaving
-  /// this snapshot untouched — on a shape mismatch (different node count
-  /// or cell layout).
-  bool MergeFrom(const EnergyLedgerSnapshot& other);
 };
 
 /// Everything the energy map sidecar records beyond the snapshot itself.
@@ -168,8 +158,7 @@ std::string EnergyMapToJson(const EnergyLedgerSnapshot& snap,
                             const EnergyMapMeta& meta);
 
 /// The ledger. One per simulation; attach with Simulator::SetEnergyLedger.
-/// Not thread-safe (like the registry): parallel trials each own a ledger
-/// and fold snapshots afterwards.
+/// Not thread-safe (like the registry): parallel trials each own a ledger.
 class EnergyLedger {
  public:
   /// Gauges are registered on `registry` immediately and cached. When
@@ -247,7 +236,7 @@ class EnergyLedger {
   const TimeSeries& min_remaining_series() const { return min_series_; }
   const TimeSeries& median_remaining_series() const { return median_series_; }
 
-  /// Value capture for cross-run folding and the energy map sidecar.
+  /// Value capture for the energy map sidecar.
   EnergyLedgerSnapshot TakeSnapshot() const;
 
   /// Multi-line human-readable summary (shell `\energy`).

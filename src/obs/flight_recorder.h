@@ -42,11 +42,6 @@ class FlightRecorder final : public JournalSink {
     forward_ = std::move(next);
   }
   JournalSink* forward() { return forward_.get(); }
-  /// Relinquishes the forward sink — the mid-run teardown counterpart of
-  /// the splice: `journal.ReplaceSink(rec->TakeForward())` reinstates the
-  /// original sink exactly once (the argument is fully evaluated before
-  /// ReplaceSink destroys the recorder it returns).
-  std::unique_ptr<JournalSink> TakeForward() { return std::move(forward_); }
 
   size_t capacity() const { return ring_.size(); }
   size_t size() const { return size_; }

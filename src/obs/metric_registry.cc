@@ -67,41 +67,6 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
               .first->second;
 }
 
-MetricRegistry::Snapshot MetricRegistry::TakeSnapshot() const {
-  Snapshot snap;
-  for (const auto& [name, c] : counters_) {
-    snap[name] = static_cast<double>(c.value());
-  }
-  for (const auto& [name, per_node] : node_counters_) {
-    for (const auto& [node, c] : per_node) {
-      snap[LabeledName(name, node)] = static_cast<double>(c.value());
-    }
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap[name] = g.value();
-  }
-  for (const auto& [name, per_node] : node_gauges_) {
-    for (const auto& [node, g] : per_node) {
-      snap[LabeledName(name, node)] = g.value();
-    }
-  }
-  for (const auto& [name, h] : histograms_) {
-    snap[name + ".count"] = static_cast<double>(h.count());
-    snap[name + ".sum"] = h.sum();
-  }
-  return snap;
-}
-
-MetricRegistry::Snapshot MetricRegistry::DeltaSince(
-    const Snapshot& earlier) const {
-  Snapshot delta = TakeSnapshot();
-  for (auto& [name, value] : delta) {
-    const auto it = earlier.find(name);
-    if (it != earlier.end()) value -= it->second;
-  }
-  return delta;
-}
-
 void MetricRegistry::MergeFrom(const MetricRegistry& other) {
   for (const auto& [name, c] : other.counters_) {
     counters_[name].Inc(c.value());

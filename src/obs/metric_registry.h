@@ -13,11 +13,12 @@
 //  * stable handles: instruments live in node-based maps, so pointers stay
 //    valid for the registry's lifetime no matter how many instruments are
 //    registered later;
-//  * phase accounting: TakeSnapshot()/DeltaSince() capture counter and
-//    gauge values between experiment phases without resetting anything;
 //  * cross-run aggregation: MergeFrom() folds another registry in
 //    (counters and histogram buckets add, gauges keep the maximum — a
 //    high-watermark, which is what per-node message bounds need).
+//
+// Phase accounting (what one experiment phase cost) is the simulator
+// Metrics façade's Snapshot()/Delta(); the registry only accumulates.
 //
 // Not thread-safe: the simulator is single-threaded by design; parallel
 // experiment runs each own a registry and merge afterwards. The merge
@@ -99,7 +100,7 @@ class Histogram {
 };
 
 /// Canonical flattened instrument name: `name` alone, or "name{node=17}"
-/// for node-labeled instruments. Used by snapshots and the exporters.
+/// for node-labeled instruments. Used by the exporters.
 std::string LabeledName(const std::string& name, NodeId node);
 
 class Span;
@@ -121,15 +122,6 @@ class MetricRegistry {
   /// same name ignore it.
   Histogram* GetHistogram(const std::string& name,
                           std::vector<double> bounds);
-
-  /// Flattened (name -> value) capture of every counter and gauge.
-  /// Histograms contribute their count and sum as "<name>.count" /
-  /// "<name>.sum" so deltas cover them too.
-  using Snapshot = std::map<std::string, double>;
-  Snapshot TakeSnapshot() const;
-  /// Current values minus `earlier` (instruments absent earlier count from
-  /// zero; instruments absent now are omitted).
-  Snapshot DeltaSince(const Snapshot& earlier) const;
 
   /// Folds `other` in: counters and histograms add, gauges keep the max.
   /// Histogram bucket layouts must match for shared names.

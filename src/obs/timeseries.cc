@@ -26,13 +26,10 @@ void SeriesBin::Merge(const SeriesBin& other) {
   count += other.count;
 }
 
-TimeSeries::TimeSeries(const TimeSeriesConfig& config) : config_(config) {
-  SNAPQ_CHECK_GT(config.raw_capacity, 0u);
-  SNAPQ_CHECK_GT(config.ewma_alpha, 0.0);
-  raw_.resize(config.raw_capacity);
-  hist_.resize(config.history_capacity);
-  hist_slots_.resize(config.history_capacity, 0);
-}
+TimeSeries::TimeSeries()
+    : raw_(kSeriesRawCapacity),
+      hist_(kSeriesHistoryCapacity),
+      hist_slots_(kSeriesHistoryCapacity, 0) {}
 
 void TimeSeries::Push(Time t, double value) {
   if (num_samples_ == 0) {
@@ -40,7 +37,7 @@ void TimeSeries::Push(Time t, double value) {
     min_ = value;
     max_ = value;
   } else {
-    ewma_ += config_.ewma_alpha * (value - ewma_);
+    ewma_ += kSeriesEwmaAlpha * (value - ewma_);
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
@@ -58,7 +55,6 @@ void TimeSeries::EvictOldestRaw() {
   const SeriesBin oldest = raw_[raw_start_];
   raw_start_ = (raw_start_ + 1) % raw_.size();
   --raw_size_;
-  if (hist_.empty()) return;  // history disabled: oldest data is dropped
 
   if (hist_size_ > 0) {
     const size_t tail = hist_size_ - 1;
@@ -141,34 +137,6 @@ double TimeSeries::Slope() const {
   return (dn * sxy - sx * sy) / denom;
 }
 
-bool TimeSeries::MergeFrom(const TimeSeries& other) {
-  if (raw_size_ != other.raw_size_ || hist_size_ != other.hist_size_ ||
-      bin_stride_ != other.bin_stride_) {
-    return false;
-  }
-  for (size_t i = 0; i < hist_size_; ++i) {
-    HistAt(i).Merge(other.HistAt(i));
-  }
-  for (size_t i = 0; i < raw_size_; ++i) {
-    raw_[(raw_start_ + i) % raw_.size()].Merge(
-        other.raw_[(other.raw_start_ + i) % other.raw_.size()]);
-  }
-  const double n1 = static_cast<double>(num_samples_);
-  const double n2 = static_cast<double>(other.num_samples_);
-  if (n1 + n2 > 0.0) {
-    ewma_ = (ewma_ * n1 + other.ewma_ * n2) / (n1 + n2);
-    last_ = (last_ * n1 + other.last_ * n2) / (n1 + n2);
-  }
-  if (other.num_samples_ > 0) {
-    min_ = num_samples_ == 0 ? other.min_ : std::min(min_, other.min_);
-    max_ = num_samples_ == 0 ? other.max_ : std::max(max_, other.max_);
-  }
-  sum_ += other.sum_;
-  num_samples_ += other.num_samples_;
-  last_time_ = std::max(last_time_, other.last_time_);
-  return true;
-}
-
 TelemetryRecorder::TelemetryRecorder(const TelemetryConfig& config,
                                      MetricRegistry* registry)
     : config_(config), registry_(registry) {
@@ -197,7 +165,6 @@ TimeSeries* TelemetryRecorder::TrackGauge(const std::string& name) {
   probe.name = name;
   probe.kind = Probe::Kind::kGauge;
   probe.gauge = registry_->GetGauge(name);
-  probe.series = TimeSeries(config_.series);
   return AddProbe(std::move(probe));
 }
 
@@ -206,7 +173,6 @@ TimeSeries* TelemetryRecorder::TrackCounterRate(const std::string& name) {
   probe.name = name + ".rate";
   probe.kind = Probe::Kind::kCounterRate;
   probe.counter = registry_->GetCounter(name);
-  probe.series = TimeSeries(config_.series);
   return AddProbe(std::move(probe));
 }
 
@@ -214,20 +180,9 @@ TimeSeries* TelemetryRecorder::TrackRss() {
   Probe probe;
   probe.name = "proc.rss_kb";
   probe.kind = Probe::Kind::kRss;
-  probe.series = TimeSeries(config_.series);
   if (statm_fd_ < 0) {
     statm_fd_ = ::open("/proc/self/statm", O_RDONLY | O_CLOEXEC);
   }
-  return AddProbe(std::move(probe));
-}
-
-TimeSeries* TelemetryRecorder::TrackProbe(const std::string& name,
-                                          std::function<double()> fn) {
-  Probe probe;
-  probe.name = name;
-  probe.kind = Probe::Kind::kCallback;
-  probe.fn = std::move(fn);
-  probe.series = TimeSeries(config_.series);
   return AddProbe(std::move(probe));
 }
 
@@ -252,7 +207,6 @@ double TelemetryRecorder::ReadRssKb() const {
 }
 
 void TelemetryRecorder::SampleNow(Time t) {
-  if (!enabled_) return;
   for (Probe& probe : probes_) {
     double value = 0.0;
     switch (probe.kind) {
@@ -272,9 +226,6 @@ void TelemetryRecorder::SampleNow(Time t) {
       case Probe::Kind::kRss:
         value = ReadRssKb();
         break;
-      case Probe::Kind::kCallback:
-        value = probe.fn();
-        break;
     }
     probe.series.Push(t, value);
   }
@@ -287,24 +238,6 @@ const TimeSeries* TelemetryRecorder::series(std::string_view name) const {
     if (probe.name == name) return &probe.series;
   }
   return nullptr;
-}
-
-bool TelemetryRecorder::MergeFrom(const TelemetryRecorder& other) {
-  if (probes_.size() != other.probes_.size()) return false;
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    if (probes_[i].name != other.probes_[i].name) return false;
-  }
-  // Dry-run the shape checks so a failure cannot leave a partial merge.
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    TimeSeries trial = probes_[i].series;
-    if (!trial.MergeFrom(other.probes_[i].series)) return false;
-  }
-  for (size_t i = 0; i < probes_.size(); ++i) {
-    SNAPQ_CHECK(probes_[i].series.MergeFrom(other.probes_[i].series));
-  }
-  num_samples_ = std::max(num_samples_, other.num_samples_);
-  last_sample_time_ = std::max(last_sample_time_, other.last_sample_time_);
-  return true;
 }
 
 }  // namespace snapq::obs

@@ -18,16 +18,14 @@
 // evaluates).
 //
 // The TelemetryRecorder owns one series per tracked probe (gauge value,
-// counter per-interval rate with reset clamping, process RSS, or a custom
-// callback). Probes cache their instrument pointers and all rings are
-// preallocated, so a SampleNow() tick performs zero heap allocations —
-// and a disabled recorder is a single branch, adding nothing to the paths
-// that drive it.
+// counter per-interval rate with reset clamping, or process RSS). Probes
+// cache their instrument pointers and all rings are preallocated, so a
+// SampleNow() tick performs zero heap allocations. A run that wants no
+// telemetry creates no recorder.
 #ifndef SNAPQ_OBS_TIMESERIES_H_
 #define SNAPQ_OBS_TIMESERIES_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,22 +55,18 @@ struct SeriesBin {
   }
 };
 
-struct TimeSeriesConfig {
-  /// Most recent samples kept at full resolution.
-  size_t raw_capacity = 128;
-  /// Downsampled bins kept behind the raw head. 0 disables history (old
-  /// samples are dropped instead of folded — the retained-count invariant
-  /// no longer holds).
-  size_t history_capacity = 128;
-  /// EWMA smoothing factor in (0, 1]; higher tracks faster.
-  double ewma_alpha = 0.1;
-};
+/// Most recent samples a series keeps at full resolution.
+inline constexpr size_t kSeriesRawCapacity = 128;
+/// Downsampled bins a series keeps behind the raw head.
+inline constexpr size_t kSeriesHistoryCapacity = 128;
+/// EWMA smoothing factor in (0, 1]; higher tracks faster.
+inline constexpr double kSeriesEwmaAlpha = 0.1;
 
 /// A fixed-memory series of (sim-time, value) samples. All storage is
 /// allocated at construction; Push never allocates.
 class TimeSeries {
  public:
-  explicit TimeSeries(const TimeSeriesConfig& config = {});
+  TimeSeries();
 
   void Push(Time t, double value);
 
@@ -90,7 +84,7 @@ class TimeSeries {
 
   // -- Retained window -------------------------------------------------------
   /// Bins oldest -> newest: downsampled history first, then the raw head
-  /// (raw bins have count 1 unless the series was merged).
+  /// (raw bins have count 1).
   size_t num_bins() const { return hist_size_ + raw_size_; }
   const SeriesBin& bin(size_t i) const;
   /// Raw evictions a full history bin spans (doubles on each compaction).
@@ -103,13 +97,6 @@ class TimeSeries {
   /// SLOs evaluate ("proc.rss_kb slope <= x").
   double Slope() const;
 
-  /// Folds another trial's series in (parallel --jobs folding): bins merge
-  /// index-wise, so both series must have the same retained shape — equal
-  /// raw/history sizes and history stride, i.e. the same sample cadence
-  /// and count. Returns false (and leaves this series untouched) on a
-  /// shape mismatch. EWMA/last fold as sample-count-weighted means.
-  bool MergeFrom(const TimeSeries& other);
-
  private:
   void EvictOldestRaw();
   void CompactHistory();
@@ -118,11 +105,10 @@ class TimeSeries {
     return hist_[(hist_start_ + i) % hist_.size()];
   }
 
-  TimeSeriesConfig config_;
-  std::vector<SeriesBin> raw_;  // ring of size config_.raw_capacity
+  std::vector<SeriesBin> raw_;  // ring of kSeriesRawCapacity
   size_t raw_start_ = 0;
   size_t raw_size_ = 0;
-  std::vector<SeriesBin> hist_;  // ring of size config_.history_capacity
+  std::vector<SeriesBin> hist_;  // ring of kSeriesHistoryCapacity
   std::vector<uint32_t> hist_slots_;  // raw evictions each bin absorbed
   size_t hist_start_ = 0;
   size_t hist_size_ = 0;
@@ -146,8 +132,6 @@ struct TelemetryConfig {
   /// Sim-time ticks between samples (the SensorNetwork scheduling hook and
   /// the per-interval counter rates both use it).
   Time sample_interval = 10;
-  /// Ring sizing shared by every tracked series.
-  TimeSeriesConfig series;
   /// Where the blackbox dump goes when a watchdog rule fires; empty
   /// disables dumping (SensorNetwork wiring).
   std::string blackbox_path;
@@ -177,14 +161,8 @@ class TelemetryRecorder {
   /// (/proc/self/statm via a kept-open fd — no allocation per sample;
   /// falls back to the getrusage peak where /proc is unavailable).
   TimeSeries* TrackRss();
-  /// Samples `fn()` under `name` (health probes, test injection).
-  TimeSeries* TrackProbe(const std::string& name, std::function<double()> fn);
-
-  void set_enabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
-  /// Samples every probe at sim-time `t`. A single branch when disabled;
-  /// zero heap allocations when enabled (rings are preallocated).
+  /// Samples every probe at sim-time `t`. Zero heap allocations (rings
+  /// are preallocated).
   void SampleNow(Time t);
 
   size_t num_series() const { return probes_.size(); }
@@ -199,20 +177,13 @@ class TelemetryRecorder {
     for (const Probe& probe : probes_) fn(probe.name, probe.series);
   }
 
-  /// Folds another recorder in (parallel --jobs folding): probes must
-  /// match by name and registration order, and every series pair must be
-  /// shape-compatible (see TimeSeries::MergeFrom). Returns false (leaving
-  /// this recorder untouched) otherwise.
-  bool MergeFrom(const TelemetryRecorder& other);
-
  private:
   struct Probe {
-    enum class Kind { kGauge, kCounterRate, kRss, kCallback };
+    enum class Kind { kGauge, kCounterRate, kRss };
     std::string name;
     Kind kind = Kind::kGauge;
     const Gauge* gauge = nullptr;
     const Counter* counter = nullptr;
-    std::function<double()> fn;
     uint64_t prev = 0;  // counter value at the previous sample
     TimeSeries series;
   };
@@ -223,7 +194,6 @@ class TelemetryRecorder {
   TelemetryConfig config_;
   MetricRegistry* registry_;
   std::vector<Probe> probes_;  // reserved to kMaxTelemetrySeries: stable
-  bool enabled_ = true;
   uint64_t num_samples_ = 0;
   Time last_sample_time_ = 0;
   int statm_fd_ = -1;

@@ -45,9 +45,7 @@ TEST(BenchReportTest, GoldenSchema) {
 }
 
 TEST(BenchReportTest, EmptyReportIsValidJson) {
-  BenchReport report;
-  report.git_sha = "x";
-  report.timestamp = "t";
+  const BenchReport report{.git_sha = "x", .timestamp = "t", .benchmarks = {}};
   EXPECT_TRUE(obs::ValidateJson(report.ToJson()));
 }
 

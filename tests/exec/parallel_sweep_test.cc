@@ -1,6 +1,6 @@
 // The engine's acceptance bar (DESIGN.md §12): a --jobs N sweep must be
 // bit-identical to --jobs 1 — same per-seed election stats, same merged
-// metric snapshot, same journal event counts — because each task owns its
+// metrics, same journal event counts — because each task owns its
 // whole trial and every reduction happens in task-index order on the
 // calling thread.
 #include "exec/parallel_sweep.h"
@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -149,9 +151,43 @@ TrialResult RunOneTrial(uint64_t seed) {
   return result;
 }
 
+/// Every instrument of `reg` as (kind,name) -> value. The CSV export
+/// lists every instrument, but prints gauges and histogram sums to 12
+/// digits, so those two are read back from the instruments themselves to
+/// keep the comparison bit-exact. Phase-span wall-time histograms measure
+/// real elapsed time — the one thing that legitimately differs across
+/// scheduling — and are left out.
+std::map<std::string, double> ExactValues(obs::MetricRegistry& reg) {
+  std::map<std::string, double> values;
+  std::istringstream csv(reg.ToCsv());
+  std::string line;
+  std::getline(csv, line);  // header
+  while (std::getline(csv, line)) {
+    const size_t name_at = line.find(',') + 1;
+    const size_t value_at = line.rfind(',') + 1;
+    const std::string kind = line.substr(0, name_at - 1);
+    const std::string name = line.substr(name_at, value_at - 1 - name_at);
+    if (name.find(".wall_us") != std::string::npos) continue;
+    double value = std::stod(line.substr(value_at));
+    if (kind == "gauge") {
+      const size_t label = name.find("{node=");
+      value = label == std::string::npos
+                  ? reg.GetGauge(name)->value()
+                  : reg.GetGauge(name.substr(0, label),
+                                 static_cast<NodeId>(std::stoul(
+                                     name.substr(label + 6))))
+                        ->value();
+    } else if (kind == "histogram_sum") {
+      value = reg.GetHistogram(name, {})->sum();
+    }
+    values[kind + "," + name] = value;
+  }
+  return values;
+}
+
 struct SweepOutput {
   std::vector<TrialResult> trials;
-  obs::MetricRegistry::Snapshot metrics;
+  std::map<std::string, double> metrics;
 };
 
 SweepOutput RunSweep(int jobs) {
@@ -163,18 +199,10 @@ SweepOutput RunSweep(int jobs) {
     out.trials = ParallelMap<TrialResult>(
         kSeeds, jobs, [](size_t i) { return RunOneTrial(100 + i); });
   }
-  out.metrics = captured.TakeSnapshot();
-  // Phase-span timing histograms measure real elapsed time — the one
-  // thing that legitimately differs across scheduling. Everything else
-  // (protocol counters, per-node message gauges, cache stats) is covered
-  // by the bit-identity contract.
-  for (auto it = out.metrics.begin(); it != out.metrics.end();) {
-    if (it->first.find(".wall_us.") != std::string::npos) {
-      it = out.metrics.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Everything but wall time (protocol counters, per-node message gauges,
+  // cache stats, histogram buckets) is covered by the bit-identity
+  // contract.
+  out.metrics = ExactValues(captured);
   return out;
 }
 
@@ -202,8 +230,8 @@ TEST(ParallelSweepDeterminismTest, JobsEightIsBitIdenticalToJobsOne) {
     EXPECT_GT(serial.trials[i].journal_events, 0u) << "seed index " << i;
   }
 
-  // The merged metric snapshots (every counter, gauge and histogram the
-  // 10 trials produced) must match key-for-key, bit-for-bit.
+  // The merged metrics (every counter, gauge and histogram the 10 trials
+  // produced) must match key-for-key, bit-for-bit.
   EXPECT_FALSE(serial.metrics.empty());
   for (const auto& [key, value] : serial.metrics) {
     auto it = parallel.metrics.find(key);

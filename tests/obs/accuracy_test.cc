@@ -21,7 +21,7 @@ class AccuracyAuditorTest : public ::testing::Test {
 };
 
 TEST_F(AccuracyAuditorTest, CountsViolationsAgainstTheRoundThreshold) {
-  AccuracyAuditor audit({}, /*num_nodes=*/4, &registry_);
+  AccuracyAuditor audit(/*num_nodes=*/4, &registry_);
   audit.BeginRound(AuditSource::kQuery, /*origin=*/0, /*threshold=*/1.0,
                    /*t=*/0);
   audit.ObserveEstimate(1, 0, /*signed_error=*/0.5, /*distance=*/0.25);
@@ -42,7 +42,7 @@ TEST_F(AccuracyAuditorTest, EachRoundJudgesAgainstItsOwnEffectiveT) {
   // A per-query USE SNAPSHOT ERROR override tightens T for that round
   // only; the same residual can pass under the deployment T and violate
   // under the override.
-  AccuracyAuditor audit({}, 2, &registry_);
+  AccuracyAuditor audit(2, &registry_);
   audit.BeginRound(AuditSource::kQuery, 0, /*threshold=*/1.0, 0);
   audit.ObserveEstimate(1, 0, 0.7, 0.49);
   audit.EndRound();
@@ -55,22 +55,22 @@ TEST_F(AccuracyAuditorTest, EachRoundJudgesAgainstItsOwnEffectiveT) {
 }
 
 TEST_F(AccuracyAuditorTest, BudgetWindowTumblesAndResetsTheRate) {
-  AccuracyAuditConfig config;
-  config.error_budget = 0.5;
-  config.window = 100;
-  AccuracyAuditor audit(config, 2, &registry_);
+  // The constant budget window is 100 ticks with a 1% error budget.
+  ASSERT_EQ(kAccuracyWindow, 100);
+  AccuracyAuditor audit(2, &registry_);
 
   audit.BeginRound(AuditSource::kSweep, -1, 1.0, /*t=*/10);
   audit.ObserveEstimate(1, 0, 3.0, 9.0);  // violation
   audit.EndRound();
   EXPECT_DOUBLE_EQ(audit.violation_rate(), 1.0);
-  EXPECT_DOUBLE_EQ(audit.budget_burn(), 2.0);  // 1.0 / 0.5
+  EXPECT_DOUBLE_EQ(audit.budget_burn(), 1.0 / kAccuracyErrorBudget);
 
   // Same window: the rate accumulates.
   audit.BeginRound(AuditSource::kSweep, -1, 1.0, /*t=*/90);
   audit.ObserveEstimate(1, 0, 0.1, 0.01);
   audit.EndRound();
   EXPECT_DOUBLE_EQ(audit.violation_rate(), 0.5);
+  EXPECT_DOUBLE_EQ(audit.budget_burn(), 0.5 / kAccuracyErrorBudget);
 
   // t=250 starts a new window (aligned to multiples of 100): the window
   // rate resets, the cumulative totals do not.
@@ -84,7 +84,7 @@ TEST_F(AccuracyAuditorTest, BudgetWindowTumblesAndResetsTheRate) {
 }
 
 TEST_F(AccuracyAuditorTest, ExposesGaugesAndCountersOnTheRegistry) {
-  AccuracyAuditor audit({}, 2, &registry_);
+  AccuracyAuditor audit(2, &registry_);
   // Registered at construction: visible to telemetry/SLOs before the
   // first round.
   EXPECT_DOUBLE_EQ(registry_.GetGauge("accuracy.violation_rate")->value(),
@@ -98,7 +98,7 @@ TEST_F(AccuracyAuditorTest, ExposesGaugesAndCountersOnTheRegistry) {
   EXPECT_DOUBLE_EQ(registry_.GetGauge("accuracy.violation_rate")->value(),
                    0.5);
   EXPECT_DOUBLE_EQ(registry_.GetGauge("accuracy.budget_burn")->value(),
-                   0.5 / 0.01);
+                   0.5 / kAccuracyErrorBudget);
   EXPECT_DOUBLE_EQ(registry_.GetGauge("accuracy.max_abs_error")->value(), 2.0);
   EXPECT_DOUBLE_EQ(registry_.GetGauge("accuracy.mean_abs_error")->value(),
                    1.25);
@@ -108,7 +108,7 @@ TEST_F(AccuracyAuditorTest, ExposesGaugesAndCountersOnTheRegistry) {
 }
 
 TEST_F(AccuracyAuditorTest, AttributesErrorsPerNodeAndPerReporter) {
-  AccuracyAuditor audit({}, 4, &registry_);
+  AccuracyAuditor audit(4, &registry_);
   audit.BeginRound(AuditSource::kQuery, 0, 1.0, 0);
   audit.ObserveEstimate(/*node=*/1, /*reporter=*/3, -2.0, 4.0);
   audit.ObserveEstimate(/*node=*/2, /*reporter=*/3, 0.5, 0.25);
@@ -129,24 +129,12 @@ TEST_F(AccuracyAuditorTest, AttributesErrorsPerNodeAndPerReporter) {
   EXPECT_EQ(audit.ReporterViolations(0), 0u);
 }
 
-TEST_F(AccuracyAuditorTest, PerNodeTrackingCanBeDisabled) {
-  AccuracyAuditConfig config;
-  config.per_node = false;
-  AccuracyAuditor audit(config, 4, &registry_);
-  audit.BeginRound(AuditSource::kQuery, 0, 1.0, 0);
-  audit.ObserveEstimate(1, 3, -2.0, 4.0);
-  audit.EndRound();
-  // Network-wide aggregates remain; per-node stats read as zeros.
-  EXPECT_EQ(audit.audited_total(), 1u);
-  EXPECT_EQ(audit.NodeStats(1).audited, 0u);
-}
-
 TEST_F(AccuracyAuditorTest, EmitsTheFrozenJournalEventPerRound) {
   EventJournal journal;
   auto* sink = static_cast<MemoryJournalSink*>(
       journal.SetSink(std::make_unique<MemoryJournalSink>()));
 
-  AccuracyAuditor audit({}, 4, &registry_, &journal);
+  AccuracyAuditor audit(4, &registry_, &journal);
   audit.BeginRound(AuditSource::kQuery, /*origin=*/2, /*threshold=*/0.5,
                    /*t=*/7);
   audit.ObserveEstimate(1, 0, 1.5, 2.25);
@@ -180,7 +168,7 @@ TEST_F(AccuracyAuditorTest, EmitsTheFrozenJournalEventPerRound) {
 }
 
 TEST_F(AccuracyAuditorTest, ToTableListsAuditedNodesAndTheSummary) {
-  AccuracyAuditor audit({}, 4, &registry_);
+  AccuracyAuditor audit(4, &registry_);
   audit.BeginRound(AuditSource::kQuery, 0, 1.0, 0);
   audit.ObserveEstimate(1, 0, 2.0, 4.0);
   audit.ObserveEstimate(2, 0, 0.5, 0.25);

@@ -184,7 +184,6 @@ TEST(EnergyLedgerSnapshotTest, SnapshotCapturesTheLedger) {
   ledger.UpdateGauges(50);
 
   const EnergyLedgerSnapshot snap = ledger.TakeSnapshot();
-  EXPECT_EQ(snap.runs, 1u);
   EXPECT_EQ(snap.num_nodes, 2u);
   EXPECT_EQ(snap.initial_battery, 10.0);
   EXPECT_EQ(snap.TotalDrained(), 1.5);
@@ -197,40 +196,8 @@ TEST(EnergyLedgerSnapshotTest, SnapshotCapturesTheLedger) {
   EXPECT_EQ(snap.DirectionJoules(EnergyDirection::kTx), 1.0);
   EXPECT_EQ(snap.root_kind[2], 1.0);
   EXPECT_EQ(snap.remaining[0], 9.0);
-  EXPECT_EQ(snap.first_death_runs, 1u);
-  EXPECT_EQ(snap.first_death_sum, 42.0);
-}
-
-TEST(EnergyLedgerSnapshotTest, MergeFromAddsIndexwise) {
-  MetricRegistry registry;
-  EnergyLedger a(SmallBattery(10.0), 2, &registry);
-  EnergyLedger b(SmallBattery(10.0), 2, &registry);
-  a.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 1.0);
-  a.RecordDeath(0, 5);
-  b.Record(0, Cell(EnergyDirection::kTx, MessageType::kData), 0.5);
-  b.Record(1, EnergyLedger::CacheCell(), 0.25);
-
-  EnergyLedgerSnapshot merged = a.TakeSnapshot();
-  ASSERT_TRUE(merged.MergeFrom(b.TakeSnapshot()));
-  EXPECT_EQ(merged.runs, 2u);
-  EXPECT_EQ(merged.TotalDrained(), 1.75);
-  EXPECT_EQ(merged.NodeCauseJoules(0, EnergyCause::kData), 1.5);
-  EXPECT_EQ(merged.NodeCauseJoules(1, EnergyCause::kCache), 0.25);
-  EXPECT_EQ(merged.deaths[0], 1u);
-  EXPECT_EQ(merged.TotalDeaths(), 1u);
-  // remaining sums across runs (reported as the per-run mean downstream).
-  EXPECT_EQ(merged.remaining[0], 9.0 + 9.5);
-}
-
-TEST(EnergyLedgerSnapshotTest, MergeFromRejectsShapeMismatch) {
-  MetricRegistry registry;
-  EnergyLedger a(SmallBattery(10.0), 2, &registry);
-  EnergyLedger b(SmallBattery(10.0), 3, &registry);
-  EnergyLedger c(SmallBattery(20.0), 2, &registry);
-  EnergyLedgerSnapshot snap = a.TakeSnapshot();
-  EXPECT_FALSE(snap.MergeFrom(b.TakeSnapshot()));  // node count differs
-  EXPECT_FALSE(snap.MergeFrom(c.TakeSnapshot()));  // battery differs
-  EXPECT_EQ(snap.runs, 1u);                        // left untouched
+  EXPECT_EQ(snap.first_death_tick, 42.0);
+  EXPECT_EQ(snap.coverage_knee_tick, ledger.coverage_knee_tick());
 }
 
 TEST(EnergyLedgerTest, ToTableNamesEveryActiveCause) {

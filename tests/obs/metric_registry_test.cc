@@ -59,27 +59,16 @@ TEST(ObsRegistryTest, PerNodeLabeledInstruments) {
   reg.GetCounter("election.msgs", 17)->Inc(5);
   reg.GetGauge("election.sent", 17)->Set(6.0);
   EXPECT_EQ(LabeledName("election.msgs", 17), "election.msgs{node=17}");
-  const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
-  EXPECT_DOUBLE_EQ(snap.at("election.msgs{node=3}"), 2.0);
-  EXPECT_DOUBLE_EQ(snap.at("election.msgs{node=17}"), 5.0);
-  EXPECT_DOUBLE_EQ(snap.at("election.sent{node=17}"), 6.0);
-}
-
-TEST(ObsRegistryTest, SnapshotAndDelta) {
-  MetricRegistry reg;
-  Counter* c = reg.GetCounter("ops");
-  Gauge* g = reg.GetGauge("level");
-  c->Inc(10);
-  g->Set(2.0);
-  const MetricRegistry::Snapshot before = reg.TakeSnapshot();
-  c->Inc(7);
-  g->Set(5.0);
-  const MetricRegistry::Snapshot delta = reg.DeltaSince(before);
-  EXPECT_DOUBLE_EQ(delta.at("ops"), 7.0);
-  EXPECT_DOUBLE_EQ(delta.at("level"), 3.0);
-  // Instruments registered after the snapshot show their full value.
-  reg.GetCounter("late")->Inc(3);
-  EXPECT_DOUBLE_EQ(reg.DeltaSince(before).at("late"), 3.0);
+  EXPECT_EQ(reg.GetCounter("election.msgs", 3)->value(), 2u);
+  EXPECT_EQ(reg.GetCounter("election.msgs", 17)->value(), 5u);
+  EXPECT_DOUBLE_EQ(reg.GetGauge("election.sent", 17)->value(), 6.0);
+  // Labels are separate instruments, not the unlabeled name.
+  EXPECT_EQ(reg.num_instruments(), 3u);
+  const std::string csv = reg.ToCsv();
+  EXPECT_NE(csv.find("counter,election.msgs{node=3},2\n"), std::string::npos);
+  EXPECT_NE(csv.find("counter,election.msgs{node=17},5\n"),
+            std::string::npos);
+  EXPECT_NE(csv.find("gauge,election.sent{node=17},6\n"), std::string::npos);
 }
 
 TEST(ObsRegistryTest, MergeAddsCountersAndMaxesGauges) {

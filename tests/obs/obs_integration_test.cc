@@ -27,20 +27,25 @@ TEST(ObsIntegrationTest, ElectionPopulatesPerNodeGauges) {
   obs::MetricRegistry& reg = outcome.network->sim().registry();
   EXPECT_EQ(reg.GetCounter("election.runs")->value(), 1u);
 
-  const obs::MetricRegistry::Snapshot snap = reg.TakeSnapshot();
-  size_t node_gauges = 0;
-  for (const auto& [name, value] : snap) {
-    if (name.rfind("election.messages_sent{", 0) != 0) continue;
-    ++node_gauges;
+  // Every node has its gauge (reading them registers nothing new).
+  const size_t instruments = reg.num_instruments();
+  for (NodeId i = 0; i < SmallConfig().num_nodes; ++i) {
     // §4: the election costs each node at most six messages.
-    EXPECT_LE(value, 6.0) << name;
+    EXPECT_LE(reg.GetGauge("election.messages_sent", i)->value(), 6.0)
+        << "node " << i;
   }
-  EXPECT_EQ(node_gauges, SmallConfig().num_nodes);
+  EXPECT_EQ(reg.num_instruments(), instruments);
 
   // The election span recorded both wall and sim time.
-  EXPECT_GE(snap.at("election.wall_us.count"), 1.0);
-  EXPECT_GE(snap.at("election.sim_ticks.count"), 1.0);
-  EXPECT_GT(snap.at("election.sim_ticks.sum"), 0.0);
+  EXPECT_GE(
+      reg.GetHistogram("election.wall_us", obs::Span::WallMicrosBounds())
+          ->count(),
+      1u);
+  const obs::Histogram* sim_ticks =
+      reg.GetHistogram("election.sim_ticks", obs::Span::SimTicksBounds());
+  EXPECT_GE(sim_ticks->count(), 1u);
+  EXPECT_GT(sim_ticks->sum(), 0.0);
+  EXPECT_EQ(reg.num_instruments(), instruments);
 
   // The histogram saw every live node.
   obs::Histogram* per_node = reg.GetHistogram(
@@ -110,12 +115,12 @@ TEST(ObsIntegrationTest, TrialsMergeIntoGlobalRegistry) {
   obs::MetricRegistry& global = obs::GlobalMetrics();
   EXPECT_EQ(global.GetCounter("election.runs")->value(), before + 2);
   // Merged gauges are high-watermarks, so the bound survives aggregation.
-  const obs::MetricRegistry::Snapshot snap = global.TakeSnapshot();
-  for (const auto& [name, value] : snap) {
-    if (name.rfind("election.messages_sent{", 0) == 0) {
-      EXPECT_LE(value, 6.0) << name;
-    }
+  const size_t instruments = global.num_instruments();
+  for (NodeId i = 0; i < SmallConfig().num_nodes; ++i) {
+    EXPECT_LE(global.GetGauge("election.messages_sent", i)->value(), 6.0)
+        << "node " << i;
   }
+  EXPECT_EQ(global.num_instruments(), instruments);
 }
 
 TEST(ObsIntegrationTest, QueryExecutionInstrumented) {

@@ -11,10 +11,11 @@ namespace {
 TEST(ObsSpanTest, RecordsWallTimeOnDestruction) {
   MetricRegistry reg;
   { Span span(reg, ProfPhase::kQueryExecution); }
-  const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.at("query.execute.wall_us.count"), 1.0);
-  // No sim marks -> no sim-ticks histogram.
-  EXPECT_EQ(snap.count("query.execute.sim_ticks.count"), 0u);
+  // No sim marks -> no sim-ticks histogram: the wall one is all there is.
+  EXPECT_EQ(reg.num_instruments(), 1u);
+  EXPECT_EQ(reg.GetHistogram("query.execute.wall_us", Span::WallMicrosBounds())
+                ->count(),
+            1u);
 }
 
 TEST(ObsSpanTest, RecordsSimTicksWhenBothMarksSet) {
@@ -24,9 +25,10 @@ TEST(ObsSpanTest, RecordsSimTicksWhenBothMarksSet) {
     span.BeginSim(100);
     span.EndSim(142);
   }
-  const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.at("election.sim_ticks.count"), 1.0);
-  EXPECT_EQ(snap.at("election.sim_ticks.sum"), 42.0);
+  const Histogram* h =
+      reg.GetHistogram("election.sim_ticks", Span::SimTicksBounds());
+  EXPECT_EQ(h->count(), 1u);
+  EXPECT_EQ(h->sum(), 42.0);
 }
 
 TEST(ObsSpanTest, ExplicitEndIsIdempotent) {
@@ -79,9 +81,12 @@ TEST(ObsSpanTest, OneSpanFeedsRegistryAndTracer) {
     span.BeginSim(10);
     span.EndSim(16);
   }
-  const MetricRegistry::Snapshot snap = reg.TakeSnapshot();
-  EXPECT_EQ(snap.at("election.wall_us.count"), 1.0);
-  EXPECT_EQ(snap.at("election.sim_ticks.sum"), 6.0);
+  EXPECT_EQ(
+      reg.GetHistogram("election.wall_us", Span::WallMicrosBounds())->count(),
+      1u);
+  EXPECT_EQ(
+      reg.GetHistogram("election.sim_ticks", Span::SimTicksBounds())->sum(),
+      6.0);
   size_t phases = 0;
   for (const TraceSpan& s : tracer.spans()) {
     if (s.kind != TraceSpanKind::kPhase) continue;
@@ -105,7 +110,9 @@ TEST(ObsSpanTest, TraceSpanNeedsBothSimMarks) {
     span.AttachTrace(&tracer, root);
     span.BeginSim(10);
   }
-  EXPECT_EQ(reg.TakeSnapshot().at("election.wall_us.count"), 1.0);
+  EXPECT_EQ(
+      reg.GetHistogram("election.wall_us", Span::WallMicrosBounds())->count(),
+      1u);
   for (const TraceSpan& s : tracer.spans()) {
     EXPECT_NE(s.kind, TraceSpanKind::kPhase);
   }

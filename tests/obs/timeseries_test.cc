@@ -18,13 +18,6 @@
 namespace snapq::obs {
 namespace {
 
-TimeSeriesConfig SmallConfig(size_t raw, size_t hist) {
-  TimeSeriesConfig config;
-  config.raw_capacity = raw;
-  config.history_capacity = hist;
-  return config;
-}
-
 uint64_t RetainedCount(const TimeSeries& s) {
   uint64_t count = 0;
   for (size_t i = 0; i < s.num_bins(); ++i) count += s.bin(i).count;
@@ -32,7 +25,7 @@ uint64_t RetainedCount(const TimeSeries& s) {
 }
 
 TEST(TimeSeriesTest, AggregatesTrackPushedValues) {
-  TimeSeries s(SmallConfig(8, 8));
+  TimeSeries s;
   s.Push(0, 2.0);
   s.Push(1, 6.0);
   s.Push(2, 4.0);
@@ -46,15 +39,24 @@ TEST(TimeSeriesTest, AggregatesTrackPushedValues) {
   EXPECT_NEAR(s.ewma(), 2.0 + 0.1 * 4.0 + 0.1 * (4.0 - 2.4), 1e-12);
 }
 
+// Samples until the history ring has compacted `compactions` times: the
+// k-th compaction comes on the (history capacity * 2^(k-1) + 1)-th raw
+// eviction.
+Time SamplesForCompactions(int compactions) {
+  return static_cast<Time>(kSeriesRawCapacity +
+                           (kSeriesHistoryCapacity << (compactions - 1)) + 1);
+}
+
 TEST(TimeSeriesTest, WraparoundFoldsIntoHistoryKeepingEverySample) {
-  TimeSeries s(SmallConfig(4, 4));
-  for (Time t = 0; t < 100; ++t) {
+  TimeSeries s;
+  const Time n = SamplesForCompactions(2);
+  for (Time t = 0; t < n; ++t) {
     s.Push(t, static_cast<double>(t));
     // The count invariant holds after EVERY push: bins merge, never drop.
     ASSERT_EQ(RetainedCount(s), s.num_samples()) << "at t=" << t;
   }
-  EXPECT_EQ(s.num_samples(), 100u);
-  EXPECT_EQ(RetainedCount(s), 100u);
+  EXPECT_EQ(s.num_samples(), static_cast<uint64_t>(n));
+  EXPECT_EQ(s.history_stride(), 4u);
   // Bins are in time order, oldest first, and span the full range.
   EXPECT_EQ(s.retained_since(), 0);
   Time prev_end = -1;
@@ -63,25 +65,38 @@ TEST(TimeSeriesTest, WraparoundFoldsIntoHistoryKeepingEverySample) {
     EXPECT_GE(s.bin(i).t_last, s.bin(i).t_first);
     prev_end = s.bin(i).t_last;
   }
-  EXPECT_EQ(prev_end, 99);
+  EXPECT_EQ(prev_end, n - 1);
 }
 
 TEST(TimeSeriesTest, CompactionDoublesTheStride) {
-  TimeSeries s(SmallConfig(2, 2));
+  TimeSeries s;
   EXPECT_EQ(s.history_stride(), 1u);
-  // 2 raw + 2*1 history = 4 samples before the first compaction.
-  for (Time t = 0; t < 64; ++t) s.Push(t, 1.0);
-  EXPECT_GT(s.history_stride(), 1u);
-  // Stride only ever doubles.
-  const size_t stride = s.history_stride();
-  EXPECT_EQ(stride & (stride - 1), 0u) << "stride " << stride;
-  EXPECT_EQ(RetainedCount(s), 64u);
+  const Time n = SamplesForCompactions(3);
+  size_t compactions = 0;
+  Time last_compaction = -1;
+  for (Time t = 0; t < n; ++t) {
+    const size_t stride = s.history_stride();
+    s.Push(t, 1.0);
+    if (s.history_stride() != stride) {
+      // Stride only ever doubles.
+      EXPECT_EQ(s.history_stride(), 2 * stride) << "at t=" << t;
+      ++compactions;
+      last_compaction = t;
+    }
+    ASSERT_EQ(RetainedCount(s), s.num_samples()) << "at t=" << t;
+    ASSERT_LE(s.num_bins(), kSeriesRawCapacity + kSeriesHistoryCapacity);
+  }
+  // Exactly on schedule: the last push made the third compaction.
+  EXPECT_EQ(compactions, 3u);
+  EXPECT_EQ(last_compaction, n - 1);
+  EXPECT_EQ(s.history_stride(), 8u);
 }
 
 TEST(TimeSeriesTest, CadenceNotDividingCapacityKeepsInvariant) {
-  // 7 raw + 5 history with a cadence of 3 ticks: nothing lines up, the
-  // invariant must hold anyway.
-  TimeSeries s(SmallConfig(7, 5));
+  // A cadence of 3 ticks and a sine that never repeats a bin boundary:
+  // nothing lines up, the invariant must hold anyway through three
+  // compactions.
+  TimeSeries s;
   Time t = 0;
   for (int i = 0; i < 1000; ++i) {
     s.Push(t, std::sin(0.1 * static_cast<double>(i)));
@@ -89,20 +104,12 @@ TEST(TimeSeriesTest, CadenceNotDividingCapacityKeepsInvariant) {
     ASSERT_EQ(RetainedCount(s), s.num_samples()) << "at i=" << i;
   }
   EXPECT_EQ(s.num_samples(), 1000u);
-  EXPECT_LE(s.num_bins(), 12u);
-}
-
-TEST(TimeSeriesTest, HistoryDisabledDropsOldSamples) {
-  TimeSeries s(SmallConfig(4, 0));
-  for (Time t = 0; t < 10; ++t) s.Push(t, static_cast<double>(t));
-  EXPECT_EQ(s.num_samples(), 10u);
-  EXPECT_EQ(s.num_bins(), 4u);       // raw ring only
-  EXPECT_EQ(RetainedCount(s), 4u);   // invariant waived by config
-  EXPECT_EQ(s.retained_since(), 6);  // oldest retained sample
+  EXPECT_EQ(s.history_stride(), 8u);
+  EXPECT_LE(s.num_bins(), kSeriesRawCapacity + kSeriesHistoryCapacity);
 }
 
 TEST(TimeSeriesTest, SlopeRecoversALinearTrend) {
-  TimeSeries s(SmallConfig(16, 16));
+  TimeSeries s;
   for (Time t = 0; t < 500; ++t) {
     s.Push(t, 10.0 + 2.5 * static_cast<double>(t));
   }
@@ -110,36 +117,9 @@ TEST(TimeSeriesTest, SlopeRecoversALinearTrend) {
   // least-squares slope comes back almost exactly.
   EXPECT_NEAR(s.Slope(), 2.5, 0.01);
 
-  TimeSeries flat(SmallConfig(16, 16));
+  TimeSeries flat;
   for (Time t = 0; t < 500; ++t) flat.Push(t, 7.0);
   EXPECT_NEAR(flat.Slope(), 0.0, 1e-9);
-}
-
-TEST(TimeSeriesTest, MergeFoldsSameShapeSeries) {
-  TimeSeries a(SmallConfig(4, 4));
-  TimeSeries b(SmallConfig(4, 4));
-  for (Time t = 0; t < 50; ++t) {
-    a.Push(t, 1.0);
-    b.Push(t, 3.0);
-  }
-  ASSERT_TRUE(a.MergeFrom(b));
-  EXPECT_EQ(a.num_samples(), 100u);
-  EXPECT_EQ(RetainedCount(a), 100u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(a.min_seen(), 1.0);
-  EXPECT_DOUBLE_EQ(a.max_seen(), 3.0);
-  // Equal sample counts fold ewma/last as the midpoint.
-  EXPECT_DOUBLE_EQ(a.last(), 2.0);
-}
-
-TEST(TimeSeriesTest, MergeRejectsShapeMismatchAndLeavesTargetUntouched) {
-  TimeSeries a(SmallConfig(4, 4));
-  TimeSeries b(SmallConfig(4, 4));
-  for (Time t = 0; t < 50; ++t) a.Push(t, 1.0);
-  for (Time t = 0; t < 10; ++t) b.Push(t, 9.0);  // different shape
-  EXPECT_FALSE(a.MergeFrom(b));
-  EXPECT_EQ(a.num_samples(), 50u);
-  EXPECT_DOUBLE_EQ(a.max_seen(), 1.0);
 }
 
 TEST(TelemetryRecorderTest, SamplesGaugesCountersAndProbes) {
@@ -152,12 +132,9 @@ TEST(TelemetryRecorderTest, SamplesGaugesCountersAndProbes) {
   TelemetryRecorder rec(config, &registry);
   rec.TrackGauge("g");
   rec.TrackCounterRate("c");
-  double probe_value = 0.0;
-  rec.TrackProbe("p", [&probe_value] { return probe_value; });
 
   gauge->Set(0.5);
   counter->Inc(7);
-  probe_value = 42.0;
   rec.SampleNow(10);
   counter->Inc(3);
   rec.SampleNow(20);
@@ -170,7 +147,6 @@ TEST(TelemetryRecorderTest, SamplesGaugesCountersAndProbes) {
   EXPECT_DOUBLE_EQ(rec.series("c.rate")->last(), 3.0);
   EXPECT_DOUBLE_EQ(rec.series("c.rate")->min_seen(), 3.0);
   EXPECT_DOUBLE_EQ(rec.series("c.rate")->max_seen(), 7.0);
-  EXPECT_DOUBLE_EQ(rec.series("p")->last(), 42.0);
 }
 
 TEST(TelemetryRecorderTest, CounterResetClampsToZeroRate) {
@@ -193,16 +169,6 @@ TEST(TelemetryRecorderTest, CounterResetClampsToZeroRate) {
   EXPECT_DOUBLE_EQ(rec.series("c.rate")->last(), 4.0);
 }
 
-TEST(TelemetryRecorderTest, DisabledRecorderSamplesNothing) {
-  MetricRegistry registry;
-  TelemetryRecorder rec({}, &registry);
-  rec.TrackGauge("g");
-  rec.set_enabled(false);
-  rec.SampleNow(10);
-  EXPECT_EQ(rec.num_samples(), 0u);
-  EXPECT_EQ(rec.series("g")->num_samples(), 0u);
-}
-
 TEST(TelemetryRecorderTest, TrackingTwiceReturnsTheSameSeries) {
   MetricRegistry registry;
   TelemetryRecorder rec({}, &registry);
@@ -219,27 +185,6 @@ TEST(TelemetryRecorderTest, RssSeriesReportsAPlausibleResidentSet) {
   // Any live process is resident somewhere between 1 MB and 100 GB.
   EXPECT_GT(rec.series("proc.rss_kb")->last(), 1024.0);
   EXPECT_LT(rec.series("proc.rss_kb")->last(), 100.0 * 1024 * 1024);
-}
-
-TEST(TelemetryRecorderTest, MergeFoldsJobSplitRecorders) {
-  MetricRegistry ra, rb;
-  ra.GetGauge("g")->Set(1.0);
-  rb.GetGauge("g")->Set(5.0);
-  TelemetryRecorder a({}, &ra), b({}, &rb);
-  a.TrackGauge("g");
-  b.TrackGauge("g");
-  for (Time t = 0; t < 30; ++t) {
-    a.SampleNow(t);
-    b.SampleNow(t);
-  }
-  ASSERT_TRUE(a.MergeFrom(b));
-  EXPECT_DOUBLE_EQ(a.series("g")->mean(), 3.0);
-  EXPECT_EQ(a.series("g")->num_samples(), 60u);
-
-  // Mismatched probe sets refuse to merge.
-  TelemetryRecorder c({}, &ra);
-  c.TrackGauge("other");
-  EXPECT_FALSE(a.MergeFrom(c));
 }
 
 TEST(TimelineTest, TimelineJsonIsWellFormedAndCarriesTheSchema) {

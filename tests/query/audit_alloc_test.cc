@@ -140,7 +140,7 @@ TEST(AuditAllocTest, AuditingAddsNoSteadyStateAllocationsToQueries) {
   // enabled auditing is allocation-free on the query path too.
   Net c = MakeNet();
   obs::MetricRegistry registry;
-  obs::AccuracyAuditor auditor({}, /*num_nodes=*/4, &registry);
+  obs::AccuracyAuditor auditor(/*num_nodes=*/4, &registry);
   ExecutionOptions audited;
   audited.audit = &auditor;
   audited.audit_threshold = 1.0;

@@ -6,9 +6,8 @@
 // dyadic rationals (1, 1/4, 1/8), so every partial sum is exactly
 // representable and the invariant is independent of summation order.
 //
-// The same workloads also pin --jobs determinism: folding per-run
-// snapshots in task-index order must produce a bit-identical energy map
-// whether the runs executed on 1 worker or 4.
+// The same workloads also pin --jobs determinism: each run's energy map
+// must be byte-identical whether the runs executed on 1 worker or 4.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -123,24 +122,33 @@ TEST(EnergyConservationTest, AttributedDrainsSumToBatteryDrainExactly) {
 }
 
 TEST(EnergyConservationTest, JobsFoldingIsBitIdentical) {
-  const auto fold = [](int jobs) {
-    auto snaps = exec::ParallelMap<obs::EnergyLedgerSnapshot>(
+  // Every trial owns its ledger and writes its own energy map, so a
+  // --jobs 4 run must produce each trial's map byte for byte as the
+  // serial run does.
+  const auto maps = [](int jobs) {
+    const auto snaps = exec::ParallelMap<obs::EnergyLedgerSnapshot>(
         4, jobs, [](size_t i) { return RunWorkload(100 + i); });
-    obs::EnergyLedgerSnapshot merged = snaps[0];
-    for (size_t i = 1; i < snaps.size(); ++i) {
-      EXPECT_TRUE(merged.MergeFrom(snaps[i]));
-    }
     obs::EnergyMapMeta meta;
     meta.benchmark = "jobs_identity";
     meta.git_sha = "test";
     meta.t = kHorizon;
-    return EnergyMapToJson(merged,
-                           std::vector<Point>(kNodes, Point{0.0, 0.0}), meta);
+    std::vector<std::string> out;
+    for (const obs::EnergyLedgerSnapshot& snap : snaps) {
+      out.push_back(EnergyMapToJson(
+          snap, std::vector<Point>(kNodes, Point{0.0, 0.0}), meta));
+    }
+    return out;
   };
-  const std::string serial = fold(1);
-  const std::string parallel = fold(4);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_NE(serial.find("\"runs\": 4"), std::string::npos);
+  const std::vector<std::string> serial = maps(1);
+  const std::vector<std::string> parallel = maps(4);
+  ASSERT_EQ(serial.size(), 4u);
+  ASSERT_EQ(parallel.size(), 4u);
+  for (size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i], parallel[i]) << "run " << i;
+    EXPECT_NE(serial[i].find("\"runs\": 1,"), std::string::npos);
+  }
+  // Different seeds drain differently: the maps are not all one document.
+  EXPECT_NE(serial[0], serial[1]);
 }
 
 }  // namespace
