@@ -65,17 +65,17 @@ int main() {
   std::printf("Running the discovery protocol (Table 2 + Figure 5)...\n\n");
   const ElectionStats stats = RunGlobalElection(sim, agents, 0, config);
 
-  const SnapshotView view = CaptureSnapshot(agents);
+  const SnapshotView view = CaptureSnapshot(sim);
   for (NodeId i = 0; i < 8; ++i) {
     const auto& info = view.node(i);
     std::printf("%s: %-7s", PaperName(i), NodeModeName(info.mode));
     if (info.mode == NodeMode::kPassive) {
       std::printf(" represented by %s", PaperName(info.representative));
-    } else if (!info.represents.empty()) {
+    } else if (!view.represents(i).empty()) {
       std::printf(" represents {");
       bool first = true;
-      for (const auto& [j, epoch] : info.represents) {
-        std::printf("%s%s", first ? "" : ", ", PaperName(j));
+      for (const SnapshotView::Entry& entry : view.represents(i)) {
+        std::printf("%s%s", first ? "" : ", ", PaperName(entry.member));
         first = false;
       }
       std::printf("}");

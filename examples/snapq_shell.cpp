@@ -56,7 +56,7 @@ void PrintSnapshot(SensorNetwork& net) {
     if (view.node(i).mode != NodeMode::kActive) continue;
     std::printf("  rep %u at (%.2f, %.2f) represents %zu nodes\n", i,
                 net.position(i).x, net.position(i).y,
-                view.node(i).represents.size());
+                view.represents(i).size());
   }
 }
 

@@ -30,10 +30,10 @@ int main() {
 
   // Representation edges first (under the nodes).
   for (NodeId rep = 0; rep < net.num_nodes(); ++rep) {
-    for (const auto& [member, epoch] : view.node(rep).represents) {
-      if (!view.RepresentsCurrently(rep, member)) continue;
+    for (const SnapshotView::Entry& entry : view.represents(rep)) {
+      if (!view.RepresentsCurrently(rep, entry.member)) continue;
       const Point& a = net.position(rep);
-      const Point& b = net.position(member);
+      const Point& b = net.position(entry.member);
       std::printf("  <line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" "
                   "stroke=\"#888\" stroke-width=\"1\"/>\n",
                   sx(a.x), sy(a.y), sx(b.x), sy(b.y));

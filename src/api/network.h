@@ -102,8 +102,8 @@ class SensorNetwork {
                            MaintenanceDriver::RoundCallback callback = {});
 
   /// Current representation state.
-  SnapshotView Snapshot() const { return CaptureSnapshot(agents_); }
-  ElectionStats SnapshotStats() { return SummarizeSnapshot(*sim_, agents_); }
+  SnapshotView Snapshot() const { return CaptureSnapshot(*sim_); }
+  ElectionStats SnapshotStats() { return SummarizeSnapshot(*sim_); }
 
   // -- Observability ----------------------------------------------------------
 

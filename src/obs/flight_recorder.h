@@ -41,7 +41,6 @@ class FlightRecorder final : public JournalSink {
   void SetForward(std::unique_ptr<JournalSink> next) {
     forward_ = std::move(next);
   }
-  JournalSink* forward() { return forward_.get(); }
 
   size_t capacity() const { return ring_.size(); }
   size_t size() const { return size_; }

@@ -267,7 +267,7 @@ Result<ExplainReport> ExplainQuery(QueryExecutor& executor,
   report.sink = options.sink;
   report.num_nodes = agents.size();
 
-  const SnapshotView snapshot = CaptureSnapshot(agents);
+  const SnapshotView snapshot = CaptureSnapshot(sim);
   report.active = snapshot.CountActive();
   report.passive = snapshot.CountPassive();
   report.spurious = snapshot.CountSpurious();

@@ -130,8 +130,8 @@ class Simulator {
   obs::MetricRegistry& registry() { return registry_; }
   const obs::MetricRegistry& registry() const { return registry_; }
 
-  /// Who represents whom: the snapshot agents keep it in step with their
-  /// represents() maps; the query layer reads it.
+  /// Who represents whom, since which epoch: the one store of the
+  /// relation. Snapshot agents write it; the query layer reads it.
   RepresentationIndex& representation() { return representation_; }
   const RepresentationIndex& representation() const {
     return representation_;

@@ -6,12 +6,24 @@
 
 namespace snapq {
 
+namespace {
+
+RepresentationIndex::Node& RowOf(Simulator* sim, NodeId id) {
+  SNAPQ_CHECK(sim != nullptr);
+  SNAPQ_CHECK_LT(id, sim->num_nodes());
+  return sim->representation().node(id);
+}
+
+}  // namespace
+
 SnapshotAgent::SnapshotAgent(NodeId id, Simulator* sim,
                              const SnapshotConfig& config, uint64_t seed)
     : id_(id), sim_(sim), config_(config), rng_(seed),
-      models_(id, config.cache), rep_(id) {
-  SNAPQ_CHECK(sim != nullptr);
-  SNAPQ_CHECK_LT(id, sim->num_nodes());
+      models_(id, config.cache), mode_(RowOf(sim, id).mode),
+      rep_(RowOf(sim, id).representative), epoch_(RowOf(sim, id).epoch) {
+  mode_ = NodeMode::kUndefined;
+  rep_ = id;
+  epoch_ = 0;
   models_.cache().BindObservability(&sim->registry(), &sim->journal(), id);
 }
 
@@ -35,32 +47,22 @@ void SnapshotAgent::BroadcastValue() {
   sim_->Send(msg);
 }
 
-SnapshotView::NodeInfo SnapshotAgent::Info() const {
-  SnapshotView::NodeInfo info;
-  info.mode = mode_;
-  info.representative = rep_;
-  info.epoch = epoch_;
-  info.represents = represents_;
-  info.alive = sim_->alive(id_);
-  return info;
-}
-
 // ---------------------------------------------------------------------------
 // Model building
 // ---------------------------------------------------------------------------
 
 void SnapshotAgent::SetRepresents(NodeId j, std::optional<int64_t> epoch) {
   if (epoch.has_value()) {
-    represents_[j] = *epoch;
-    sim_->representation().Add(j, id_);
-  } else if (represents_.erase(j) > 0) {
+    sim_->representation().Set(j, id_, *epoch);
+  } else {
     sim_->representation().Remove(j, id_);
   }
 }
 
 void SnapshotAgent::ReleaseMembers() {
-  while (!represents_.empty()) {
-    SetRepresents(represents_.begin()->first, std::nullopt);
+  while (!represents().empty()) {
+    const auto [j, e] = *represents().begin();
+    SetRepresents(j, std::nullopt);
   }
 }
 
@@ -180,7 +182,7 @@ void SnapshotAgent::BroadcastCandList() {
   msg.from = id_;
   msg.to = kBroadcastId;
   msg.epoch = epoch_;
-  msg.aux = static_cast<double>(represents_.size());
+  msg.aux = static_cast<double>(represents().size());
   msg.ids.reserve(pending_cands_.size());
   for (const auto& [j, e] : pending_cands_) msg.ids.push_back(j);
   my_cand_len_ = msg.ids.size();
@@ -260,7 +262,7 @@ void SnapshotAgent::RefinementTick() {
 
   // Rule-0: break mutual-representation ties by Cand-list length, then id.
   if (mode_ == NodeMode::kUndefined && rep_ != id_ &&
-      represents_.count(rep_) > 0) {
+      RepresentsSince(rep_).has_value()) {
     const auto it = heard_cand_len_.find(rep_);
     const size_t other_len = it == heard_cand_len_.end() ? 0 : it->second;
     if (my_cand_len_ > other_len ||
@@ -286,7 +288,7 @@ void SnapshotAgent::RefinementTick() {
   // about it and is ACTIVE — no notify round trip needed. Otherwise a lost
   // message or acknowledgment is retried ("reconsider in the next
   // iteration", §5).
-  if (mode_ == NodeMode::kUndefined && rep_ != id_ && represents_.empty()) {
+  if (mode_ == NodeMode::kUndefined && rep_ != id_ && represents().empty()) {
     if (rep_ack_seen_) {
       BecomePassive();
     } else if (stay_active_last_ < 0 ||
@@ -362,7 +364,7 @@ void SnapshotAgent::OnStayActive(const Message& msg) {
     return;
   }
   // Heal a lost Accept: a StayActive implies the sender elected us.
-  if (!represents_.contains(msg.from)) SetRepresents(msg.from, msg.epoch);
+  if (!RepresentsSince(msg.from)) SetRepresents(msg.from, msg.epoch);
   BecomeActive();
   // Skip the ack only when a broadcast covering this sender went out in
   // this very time unit — the sender will hear it (its StayActive merely
@@ -395,13 +397,12 @@ void SnapshotAgent::BroadcastRepAck() {
   msg.from = id_;
   msg.to = kBroadcastId;
   msg.epoch = epoch_;
-  msg.ids.reserve(represents_.size());
-  msg.epochs.reserve(represents_.size());
-  for (const auto& [j, e] : represents_) {
+  acked_.clear();
+  for (const auto& [j, e] : represents()) {
     msg.ids.push_back(j);
     msg.epochs.push_back(e);
+    acked_.emplace_hint(acked_.end(), j, e);
   }
-  acked_ = represents_;
   last_ack_broadcast_ = sim_->now();
   sim_->Send(msg);
 }
@@ -418,14 +419,14 @@ void SnapshotAgent::OnRepAck(const Message& msg) {
       // stranded; it remembers the confirmation for when they leave.
       if (mode_ == NodeMode::kUndefined && rep_ == msg.from && e == epoch_) {
         rep_ack_seen_ = true;
-        if (represents_.empty()) BecomePassive();
+        if (represents().empty()) BecomePassive();
       }
       continue;
     }
     // Spurious-representative self-correction (§3): if another node
     // acknowledges representing j at a newer epoch, our claim is stale.
-    const auto it = represents_.find(j);
-    if (it != represents_.end() && msg.from != id_ && e > it->second) {
+    const std::optional<int64_t> mine = RepresentsSince(j);
+    if (mine.has_value() && msg.from != id_ && e > *mine) {
       SetRepresents(j, std::nullopt);
     }
   }
@@ -443,32 +444,32 @@ void SnapshotAgent::MaintenanceTick() {
   // energy cost of the role rotates through the neighborhood.
   if (cooldown_rounds_ > 0) --cooldown_rounds_;
   if (config_.rotation_rounds > 0 && mode_ == NodeMode::kActive &&
-      !represents_.empty()) {
+      !represents().empty()) {
     if (++rounds_served_ >= config_.rotation_rounds) {
       Message msg;
       msg.type = MessageType::kResign;
       msg.from = id_;
       msg.to = kBroadcastId;
       msg.epoch = epoch_;
-      for (const auto& [j, e] : represents_) msg.ids.push_back(j);
+      for (const auto& [j, e] : represents()) msg.ids.push_back(j);
       sim_->journal().Emit(
           "maintenance.resign", sim_->now(), [&](obs::JournalEvent& e) {
             e.Node(id_).Epoch(epoch_).Str("reason", "rotation").Int(
-                "members", static_cast<int64_t>(represents_.size()));
+                "members", static_cast<int64_t>(msg.ids.size()));
           });
       sim_->Send(msg);
       ReleaseMembers();
       rounds_served_ = 0;
       cooldown_rounds_ = config_.rotation_cooldown;
     }
-  } else if (mode_ != NodeMode::kActive || represents_.empty()) {
+  } else if (mode_ != NodeMode::kActive || represents().empty()) {
     rounds_served_ = 0;
   }
 
   // Energy-based resignation: a depleted representative steps down and
   // ignores invitations from then on; released nodes re-elect.
   if (config_.resign_battery_fraction > 0.0 && mode_ == NodeMode::kActive &&
-      !resigned_ && !represents_.empty()) {
+      !resigned_ && !represents().empty()) {
     const double initial = sim_->config().energy.initial_battery;
     if (sim_->battery(id_).remaining() <
         config_.resign_battery_fraction * initial) {
@@ -477,11 +478,11 @@ void SnapshotAgent::MaintenanceTick() {
       msg.from = id_;
       msg.to = kBroadcastId;
       msg.epoch = epoch_;
-      for (const auto& [j, e] : represents_) msg.ids.push_back(j);
+      for (const auto& [j, e] : represents()) msg.ids.push_back(j);
       sim_->journal().Emit(
           "maintenance.resign", sim_->now(), [&](obs::JournalEvent& e) {
             e.Node(id_).Epoch(epoch_).Str("reason", "energy").Int(
-                "members", static_cast<int64_t>(represents_.size()));
+                "members", static_cast<int64_t>(msg.ids.size()));
           });
       sim_->Send(msg);
       resigned_ = true;
@@ -495,7 +496,7 @@ void SnapshotAgent::MaintenanceTick() {
     case NodeMode::kActive:
       // A lone active (represents only itself) periodically looks for a
       // representative of its own.
-      if (represents_.empty()) BeginLocalReelection();
+      if (represents().empty()) BeginLocalReelection();
       break;
     case NodeMode::kPassive: {
       if (rep_ == id_ || rep_ == kInvalidNode) {
@@ -536,7 +537,7 @@ void SnapshotAgent::OnHeartbeat(const Message& msg, bool snooped) {
     return;
   }
   // Heal a lost Accept.
-  if (!represents_.contains(msg.from)) SetRepresents(msg.from, msg.epoch);
+  if (!RepresentsSince(msg.from)) SetRepresents(msg.from, msg.epoch);
   // Record the *pre-update* estimate so the accuracy check is honest, then
   // fine-tune the model with the reported value (§3). All heartbeats of a
   // round are answered with one batched broadcast — a representative with

@@ -81,15 +81,24 @@ class SnapshotAgent {
   const SnapshotConfig& config() const { return config_; }
   /// This node's current representative (its own id when unrepresented).
   NodeId representative() const { return rep_; }
-  /// Nodes this node believes it represents -> their election epochs.
-  const std::map<NodeId, int64_t>& represents() const { return represents_; }
+  /// Nodes this node believes it represents, as (member, epoch) pairs in
+  /// ascending member order: its chain of the simulator's representation
+  /// index, valid until the relation next changes.
+  RepresentationIndex::Members represents() const {
+    return sim_->representation().MembersOf(id_);
+  }
+  /// The epoch this node recorded for member `j`; nullopt when it does not
+  /// represent j.
+  std::optional<int64_t> RepresentsSince(NodeId j) const {
+    return sim_->representation().EpochOf(j, id_);
+  }
   int64_t epoch() const { return epoch_; }
   bool resigned() const { return resigned_; }
   /// Rounds left on the post-rotation candidacy cooldown.
   int rotation_cooldown_remaining() const { return cooldown_rounds_; }
   /// ACTIVE and representing nobody but itself.
   bool IsLoneActive() const {
-    return mode_ == NodeMode::kActive && represents_.empty();
+    return mode_ == NodeMode::kActive && represents().empty();
   }
 
   ModelStore& models() { return models_; }
@@ -99,9 +108,6 @@ class SnapshotAgent {
   std::optional<double> EstimateFor(NodeId j) const {
     return models_.Estimate(j);
   }
-
-  /// This node's row of a SnapshotView.
-  SnapshotView::NodeInfo Info() const;
 
   /// Hook for the query layer: kQueryRequest/kQueryReply deliveries are
   /// forwarded here (the agent itself only handles protocol traffic).
@@ -123,9 +129,9 @@ class SnapshotAgent {
   void OnHeartbeatReply(const Message& msg);
   void OnResign(const Message& msg);
 
-  /// The one write path to represents_: records member `j` at `epoch`
-  /// (replacing its entry), or drops it when `epoch` is empty, and keeps
-  /// the simulator's representation index in step.
+  /// The one write path to the representation relation: records member
+  /// `j` at `epoch` in the simulator's index (replacing its entry), or
+  /// drops it when `epoch` is empty.
   void SetRepresents(NodeId j, std::optional<int64_t> epoch);
   /// Drops every member through SetRepresents.
   void ReleaseMembers();
@@ -161,11 +167,11 @@ class SnapshotAgent {
   Rng rng_;
   ModelStore models_;
 
-  // Representation state.
-  NodeMode mode_ = NodeMode::kUndefined;
-  NodeId rep_;             // my representative; == id_ when self-represented
-  int64_t epoch_ = 0;      // bumped every time this node seeks representation
-  std::map<NodeId, int64_t> represents_;
+  // Representation state: references to this node's row of the
+  // simulator's representation index, its only copy.
+  NodeMode& mode_;
+  NodeId& rep_;            // my representative; == id_ when self-represented
+  int64_t& epoch_;         // bumped every time this node seeks representation
 
   // Election transients (valid while electing_).
   struct Offer {

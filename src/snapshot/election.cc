@@ -8,20 +8,22 @@
 
 namespace snapq {
 
-SnapshotView CaptureSnapshot(
-    const std::vector<std::unique_ptr<SnapshotAgent>>& agents) {
-  std::vector<SnapshotView::NodeInfo> infos;
-  infos.reserve(agents.size());
-  for (const auto& agent : agents) {
-    infos.push_back(agent->Info());
+SnapshotView CaptureSnapshot(const Simulator& sim) {
+  const RepresentationIndex& index = sim.representation();
+  std::vector<SnapshotView::NodeInfo> rows(index.num_nodes());
+  std::vector<SnapshotView::Entry> entries;
+  // Reps in id order, each chain in member order: the entries come out
+  // sorted by (rep, member).
+  for (NodeId r = 0; r < rows.size(); ++r) {
+    const RepresentationIndex::Node& own = index.node(r);
+    rows[r] = {own.mode, own.representative, own.epoch, sim.alive(r)};
+    for (const auto& [j, e] : index.MembersOf(r)) entries.push_back({r, j, e});
   }
-  return SnapshotView(std::move(infos));
+  return SnapshotView(std::move(rows), std::move(entries));
 }
 
-ElectionStats SummarizeSnapshot(
-    Simulator& sim,
-    const std::vector<std::unique_ptr<SnapshotAgent>>& agents) {
-  const SnapshotView view = CaptureSnapshot(agents);
+ElectionStats SummarizeSnapshot(const Simulator& sim) {
+  const SnapshotView view = CaptureSnapshot(sim);
   ElectionStats stats;
   stats.num_active = view.CountActive();
   stats.num_passive = view.CountPassive();
@@ -31,10 +33,10 @@ ElectionStats SummarizeSnapshot(
   size_t live = 0;
   uint64_t total_msgs = 0;
   uint64_t max_msgs = 0;
-  for (const auto& agent : agents) {
-    if (!sim.alive(agent->id())) continue;
+  for (NodeId i = 0; i < sim.num_nodes(); ++i) {
+    if (!sim.alive(i)) continue;
     ++live;
-    const uint64_t sent = sim.messages_sent_by(agent->id());
+    const uint64_t sent = sim.messages_sent_by(i);
     total_msgs += sent;
     max_msgs = std::max(max_msgs, sent);
   }
@@ -75,7 +77,7 @@ ElectionStats RunGlobalElection(
   sim.RunUntil(bound);
   span.EndSim(sim.now());
 
-  const ElectionStats stats = SummarizeSnapshot(sim, agents);
+  const ElectionStats stats = SummarizeSnapshot(sim);
 
   // Per-node election cost (the paper's §4 bound: at most 6 messages per
   // node). Gauges so a later election overwrites, and so cross-run merges

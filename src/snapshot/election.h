@@ -23,9 +23,10 @@ struct ElectionStats {
   double max_messages_per_node = 0.0;
 };
 
-/// Captures the current representation state of all agents.
-SnapshotView CaptureSnapshot(
-    const std::vector<std::unique_ptr<SnapshotAgent>>& agents);
+/// Captures the current representation state of the simulator's nodes:
+/// every node's row and every represents-entry of its representation
+/// index, plus liveness. Reads no agent.
+SnapshotView CaptureSnapshot(const Simulator& sim);
 
 /// Runs a network-wide discovery starting at time t0 (>= sim.now()): every
 /// live agent broadcasts an invitation at t0, selection happens at t0+2 and
@@ -38,9 +39,8 @@ ElectionStats RunGlobalElection(
     Simulator& sim, const std::vector<std::unique_ptr<SnapshotAgent>>& agents,
     Time t0, const SnapshotConfig& config);
 
-/// Stats of the agents' current state without running anything.
-ElectionStats SummarizeSnapshot(
-    Simulator& sim, const std::vector<std::unique_ptr<SnapshotAgent>>& agents);
+/// Stats of the current representation state without running anything.
+ElectionStats SummarizeSnapshot(const Simulator& sim);
 
 }  // namespace snapq
 

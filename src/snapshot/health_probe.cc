@@ -12,11 +12,11 @@ obs::HealthSample ProbeSnapshotHealth(
   obs::HealthSample sample;
   sample.num_nodes = agents.size();
 
-  const SnapshotView view = CaptureSnapshot(agents);
-  for (const auto& agent : agents) {
-    if (!sim.alive(agent->id())) continue;
+  const SnapshotView view = CaptureSnapshot(sim);
+  for (const SnapshotView::NodeInfo& row : view.nodes()) {
+    if (!row.alive) continue;
     ++sample.num_live;
-    switch (agent->mode()) {
+    switch (row.mode) {
       case NodeMode::kActive:
         ++sample.num_active;
         break;
@@ -33,21 +33,22 @@ obs::HealthSample ProbeSnapshotHealth(
   sample.reelections =
       sim.registry().GetCounter("maintenance.reelections")->value();
 
-  // Mean staleness of the models backing current representations.
+  // Mean staleness of the models backing current representations, summed
+  // in (rep, member) order; only representatives' agents are read.
   const Time now = sim.now();
   double total_staleness = 0.0;
   uint64_t pairs = 0;
-  for (const auto& agent : agents) {
-    if (!sim.alive(agent->id())) continue;
-    for (const auto& [member, epoch] : agent->represents()) {
-      (void)epoch;
-      if (!view.RepresentsCurrently(agent->id(), member)) continue;
-      const CacheLine* line = agent->models().cache().Line(member);
-      const Time seen =
-          (line != nullptr && !line->empty()) ? line->newest().time : 0;
-      total_staleness += static_cast<double>(now - seen);
-      ++pairs;
+  for (const SnapshotView::Entry& entry : view.entries()) {
+    if (!view.node(entry.rep).alive ||
+        !view.RepresentsCurrently(entry.rep, entry.member)) {
+      continue;
     }
+    const CacheLine* line =
+        agents[entry.rep]->models().cache().Line(entry.member);
+    const Time seen =
+        (line != nullptr && !line->empty()) ? line->newest().time : 0;
+    total_staleness += static_cast<double>(now - seen);
+    ++pairs;
   }
   sample.mean_model_staleness =
       pairs > 0 ? total_staleness / static_cast<double>(pairs) : 0.0;

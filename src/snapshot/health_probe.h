@@ -1,7 +1,7 @@
 // Bridges the protocol layer to the obs::SnapshotHealthMonitor: builds a
-// HealthSample from the agents' live state (mode census from a snapshot
-// capture, cumulative violation/re-election counters from the registry,
-// and model staleness from the representatives' caches).
+// HealthSample from the live state (mode census and spurious count from a
+// snapshot capture, cumulative violation/re-election counters from the
+// registry, and model staleness from the representatives' caches).
 #ifndef SNAPQ_SNAPSHOT_HEALTH_PROBE_H_
 #define SNAPQ_SNAPSHOT_HEALTH_PROBE_H_
 

@@ -73,7 +73,7 @@ void MaintenanceDriver::RunRound(Time round_start, Time /*horizon*/,
                    [this, round_start, sends_before, callback] {
     MaintenanceRoundStats stats;
     stats.round_start = round_start;
-    const ElectionStats s = SummarizeSnapshot(*sim_, *agents_);
+    const ElectionStats s = SummarizeSnapshot(*sim_);
     stats.snapshot_size = s.num_active;
     stats.num_spurious = s.num_spurious;
     size_t live = 0;

@@ -1,5 +1,10 @@
 #include "snapshot/node_state.h"
 
+#include <algorithm>
+#include <utility>
+
+#include "common/check.h"
+
 namespace snapq {
 
 const char* NodeModeName(NodeMode mode) {
@@ -12,6 +17,25 @@ const char* NodeModeName(NodeMode mode) {
       return "PASSIVE";
   }
   return "?";
+}
+
+SnapshotView::SnapshotView(std::vector<NodeInfo> nodes,
+                           std::vector<Entry> entries)
+    : nodes_(std::move(nodes)),
+      entries_(std::move(entries)),
+      first_(nodes_.size() + 1, 0) {
+  for (size_t k = 0; k < entries_.size(); ++k) {
+    const Entry& entry = entries_[k];
+    SNAPQ_CHECK_LT(entry.rep, nodes_.size());
+    SNAPQ_CHECK_LT(entry.member, nodes_.size());
+    if (k > 0) {
+      const Entry& prev = entries_[k - 1];
+      SNAPQ_CHECK(prev.rep < entry.rep ||
+                  (prev.rep == entry.rep && prev.member < entry.member));
+    }
+    ++first_[entry.rep + 1];
+  }
+  for (size_t r = 0; r < nodes_.size(); ++r) first_[r + 1] += first_[r];
 }
 
 size_t SnapshotView::CountActive() const {
@@ -40,22 +64,23 @@ size_t SnapshotView::CountUndefined() const {
 
 bool SnapshotView::RepresentsCurrently(NodeId rep, NodeId j) const {
   if (rep == j) return true;
-  const NodeInfo& holder = nodes_[rep];
-  const auto it = holder.represents.find(j);
-  if (it == holder.represents.end()) return false;
+  const std::span<const Entry> held = represents(rep);
+  const auto it = std::lower_bound(
+      held.begin(), held.end(), j,
+      [](const Entry& entry, NodeId member) { return entry.member < member; });
+  if (it == held.end() || it->member != j) return false;
   const NodeInfo& target = nodes_[j];
   // Stale when the represented node has moved on: different representative
   // or a newer election epoch than the one the holder recorded.
-  return target.representative == rep && target.epoch == it->second;
+  return target.representative == rep && target.epoch == it->epoch;
 }
 
 size_t SnapshotView::CountSpurious() const {
   size_t n = 0;
   for (NodeId rep = 0; rep < nodes_.size(); ++rep) {
-    const NodeInfo& holder = nodes_[rep];
-    if (!holder.alive) continue;
-    for (const auto& [j, epoch] : holder.represents) {
-      if (!RepresentsCurrently(rep, j)) {
+    if (!nodes_[rep].alive) continue;
+    for (const Entry& entry : represents(rep)) {
+      if (!RepresentsCurrently(rep, entry.member)) {
         ++n;
         break;  // count nodes, not entries
       }

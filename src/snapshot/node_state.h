@@ -1,26 +1,25 @@
-// Node protocol state shared by the election and maintenance logic, plus
-// the SnapshotView value type that captures an elected snapshot for query
+// SnapshotView, an immutable capture of the representation state for query
 // processing and analysis.
+//
+// A view holds one fixed-size row per node (mode, representative, epoch,
+// liveness) and one flat list of represents-entries sorted by
+// (representative, member); an offset per node finds a representative's
+// slice. CaptureSnapshot (snapshot/election.h) fills both from the
+// simulator's RepresentationIndex, the one live store of the relation, in
+// one pass over its rows and rep chains. A view is a copy: later protocol
+// events leave it unchanged.
 #ifndef SNAPQ_SNAPSHOT_NODE_STATE_H_
 #define SNAPQ_SNAPSHOT_NODE_STATE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "net/node_id.h"
+#include "sim/representation_index.h"
 
 namespace snapq {
-
-/// §5: a node's status flag. Initially undefined; the refinement rules set
-/// it to ACTIVE (represents a non-empty set including itself, answers
-/// snapshot queries) or PASSIVE (represented by another node, stays idle).
-enum class NodeMode {
-  kUndefined,
-  kActive,
-  kPassive,
-};
 
 const char* NodeModeName(NodeMode mode);
 
@@ -34,18 +33,32 @@ class SnapshotView {
     NodeId representative = kInvalidNode;
     /// This node's election epoch when it last chose its representative.
     int64_t epoch = 0;
-    /// Nodes this node believes it represents -> the epoch it recorded.
-    std::map<NodeId, int64_t> represents;
     /// False when the node is dead (battery exhausted / killed).
     bool alive = true;
   };
+  /// One represents-entry: `rep` believes it represents `member`, as
+  /// recorded at `member`'s election epoch `epoch`.
+  struct Entry {
+    NodeId rep = kInvalidNode;
+    NodeId member = kInvalidNode;
+    int64_t epoch = 0;
+  };
 
-  explicit SnapshotView(std::vector<NodeInfo> nodes)
-      : nodes_(std::move(nodes)) {}
+  /// `entries` must be sorted by (rep, member), hold no pair twice and
+  /// name only nodes of `nodes`.
+  explicit SnapshotView(std::vector<NodeInfo> nodes,
+                        std::vector<Entry> entries = {});
 
   size_t num_nodes() const { return nodes_.size(); }
   const NodeInfo& node(NodeId id) const { return nodes_[id]; }
   const std::vector<NodeInfo>& nodes() const { return nodes_; }
+  /// Every represents-entry, sorted by (rep, member).
+  std::span<const Entry> entries() const { return entries_; }
+  /// The entries node `rep` holds, in ascending member order.
+  std::span<const Entry> represents(NodeId rep) const {
+    return std::span<const Entry>(entries_).subspan(
+        first_[rep], first_[rep + 1] - first_[rep]);
+  }
 
   /// Number of ACTIVE nodes: the snapshot size n1 the paper plots.
   size_t CountActive() const;
@@ -72,6 +85,9 @@ class SnapshotView {
 
  private:
   std::vector<NodeInfo> nodes_;
+  std::vector<Entry> entries_;
+  /// Node r's entries are entries_[first_[r], first_[r + 1]).
+  std::vector<uint32_t> first_;
 };
 
 }  // namespace snapq

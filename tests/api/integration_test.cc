@@ -49,7 +49,7 @@ TEST(IntegrationTest, ContinuousSnapshotQueryAcrossMaintenanceAndFailures) {
     const SnapshotView view = net.Snapshot();
     for (NodeId i = 0; i < net.num_nodes(); ++i) {
       if (view.node(i).mode == NodeMode::kActive &&
-          !view.node(i).represents.empty()) {
+          !view.represents(i).empty()) {
         net.sim().Kill(i);
         return;
       }

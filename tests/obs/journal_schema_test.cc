@@ -288,7 +288,7 @@ TEST(JournalSchemaTest, ViolationAndReelectionEventsMatchGoldenSchemas) {
     }
   }
   RunGlobalElection(sim, agents, sim.now(), cfg);
-  const SnapshotView view = CaptureSnapshot(agents);
+  const SnapshotView view = CaptureSnapshot(sim);
   for (NodeId i = 0; i < 3; ++i) {
     if (view.node(i).mode == NodeMode::kPassive) {
       agents[i]->SetMeasurement(10000.0 + i);

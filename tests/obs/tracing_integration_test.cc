@@ -104,9 +104,9 @@ TEST(TracingIntegrationTest,
     }
   }
   RunGlobalElection(sim, agents, sim.now(), cfg);
-  ASSERT_EQ(CaptureSnapshot(agents).CountActive(), 1u);
+  ASSERT_EQ(CaptureSnapshot(sim).CountActive(), 1u);
 
-  const SnapshotView view = CaptureSnapshot(agents);
+  const SnapshotView view = CaptureSnapshot(sim);
   for (NodeId i = 0; i < 3; ++i) {
     if (view.node(i).mode == NodeMode::kPassive) {
       agents[i]->SetMeasurement(10000.0 + i);

@@ -8,6 +8,8 @@
 #include <memory>
 #include <vector>
 
+#include "snapshot/election.h"
+
 namespace snapq {
 namespace {
 
@@ -81,7 +83,7 @@ TEST(AgentTest, RecallRemovesRepresentation) {
   accept.epoch = 3;
   p.sim->Send(accept);
   p.sim->RunAll();
-  EXPECT_EQ(p.agents[0]->represents().count(1), 1u);
+  EXPECT_TRUE(p.agents[0]->RepresentsSince(1).has_value());
 
   Message recall;
   recall.type = MessageType::kRecall;
@@ -89,7 +91,7 @@ TEST(AgentTest, RecallRemovesRepresentation) {
   recall.to = 0;
   p.sim->Send(recall);
   p.sim->RunAll();
-  EXPECT_EQ(p.agents[0]->represents().count(1), 0u);
+  EXPECT_FALSE(p.agents[0]->RepresentsSince(1).has_value());
 }
 
 TEST(AgentTest, RepAckFromNewerEpochCleansStaleEntry) {
@@ -102,7 +104,7 @@ TEST(AgentTest, RepAckFromNewerEpochCleansStaleEntry) {
   accept.epoch = 3;
   p.sim->Send(accept);
   p.sim->RunAll();
-  ASSERT_EQ(p.agents[0]->represents().count(2), 1u);
+  ASSERT_TRUE(p.agents[0]->RepresentsSince(2).has_value());
 
   // Node 1 broadcasts a RepAck claiming node 2 at newer epoch 5.
   Message ack;
@@ -113,7 +115,7 @@ TEST(AgentTest, RepAckFromNewerEpochCleansStaleEntry) {
   ack.epochs = {5};
   p.sim->Send(ack);
   p.sim->RunAll();
-  EXPECT_EQ(p.agents[0]->represents().count(2), 0u);
+  EXPECT_FALSE(p.agents[0]->RepresentsSince(2).has_value());
 }
 
 TEST(AgentTest, RepAckFromOlderEpochDoesNotClean) {
@@ -134,7 +136,7 @@ TEST(AgentTest, RepAckFromOlderEpochDoesNotClean) {
   ack.epochs = {4};  // older claim
   p.sim->Send(ack);
   p.sim->RunAll();
-  EXPECT_EQ(p.agents[0]->represents().count(2), 1u);
+  EXPECT_TRUE(p.agents[0]->RepresentsSince(2).has_value());
 }
 
 TEST(AgentTest, HeartbeatAnsweredWithEstimateAndFineTunesModel) {
@@ -166,7 +168,7 @@ TEST(AgentTest, HeartbeatAnsweredWithEstimateAndFineTunesModel) {
   EXPECT_EQ(p.sim->metrics().sent(MessageType::kHeartbeatReply),
             replies_before + 1);
   // Heal: the heartbeat implies node 1 considers node 0 its rep.
-  EXPECT_EQ(p.agents[0]->represents().count(1), 1u);
+  EXPECT_TRUE(p.agents[0]->RepresentsSince(1).has_value());
 }
 
 TEST(AgentTest, PassiveNodeStaysSilentOnHeartbeat) {
@@ -243,11 +245,11 @@ TEST(AgentTest, SnoopedHeartbeatOnlyTrainsModel) {
 TEST(AgentTest, InfoReflectsState) {
   Pair p;
   p.agents[0]->SetMeasurement(4.0);
-  const SnapshotView::NodeInfo info = p.agents[0]->Info();
+  const SnapshotView::NodeInfo info = CaptureSnapshot(*p.sim).node(0);
   EXPECT_EQ(info.mode, NodeMode::kUndefined);
   EXPECT_EQ(info.representative, 0u);
   EXPECT_TRUE(info.alive);
-  EXPECT_TRUE(info.represents.empty());
+  EXPECT_TRUE(p.agents[0]->represents().empty());
 }
 
 TEST(AgentTest, LoneActiveDetection) {

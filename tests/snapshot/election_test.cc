@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "net/topology.h"
@@ -88,7 +89,7 @@ class PaperWalkthrough : public ::testing::Test {
 TEST_F(PaperWalkthrough, FinalRepresentativesMatchFigure4) {
   Harness h(8, TestConfig());
   RunExample(h);
-  const SnapshotView view = CaptureSnapshot(h.agents);
+  const SnapshotView view = CaptureSnapshot(*h.sim);
   EXPECT_EQ(view.CountActive(), 3u);
   EXPECT_EQ(view.node(2).mode, NodeMode::kActive);  // N3
   EXPECT_EQ(view.node(3).mode, NodeMode::kActive);  // N4
@@ -102,21 +103,21 @@ TEST_F(PaperWalkthrough, FinalRepresentativesMatchFigure4) {
 TEST_F(PaperWalkthrough, RepresentationSetsMatchFigure4) {
   Harness h(8, TestConfig());
   RunExample(h);
-  const SnapshotView view = CaptureSnapshot(h.agents);
-  auto keys = [](const std::map<NodeId, int64_t>& m) {
+  const SnapshotView view = CaptureSnapshot(*h.sim);
+  auto keys = [](std::span<const SnapshotView::Entry> entries) {
     std::set<NodeId> out;
-    for (const auto& [k, v] : m) out.insert(k);
+    for (const SnapshotView::Entry& entry : entries) out.insert(entry.member);
     return out;
   };
-  EXPECT_EQ(keys(view.node(3).represents), (std::set<NodeId>{0, 1, 4}));
-  EXPECT_EQ(keys(view.node(2).represents), (std::set<NodeId>{5}));
-  EXPECT_EQ(keys(view.node(6).represents), (std::set<NodeId>{7}));
+  EXPECT_EQ(keys(view.represents(3)), (std::set<NodeId>{0, 1, 4}));
+  EXPECT_EQ(keys(view.represents(2)), (std::set<NodeId>{5}));
+  EXPECT_EQ(keys(view.represents(6)), (std::set<NodeId>{7}));
 }
 
 TEST_F(PaperWalkthrough, RepresentativePointersAreConsistent) {
   Harness h(8, TestConfig());
   RunExample(h);
-  const SnapshotView view = CaptureSnapshot(h.agents);
+  const SnapshotView view = CaptureSnapshot(*h.sim);
   EXPECT_EQ(view.node(0).representative, 3u);
   EXPECT_EQ(view.node(1).representative, 3u);
   EXPECT_EQ(view.node(4).representative, 3u);
@@ -163,7 +164,7 @@ TEST(ElectionTest, PerfectModelsElectSingleRepresentative) {
   EXPECT_EQ(stats.num_passive, 5u);
   // All candidate lists tie at length 5: the largest id wins everywhere
   // except at the winner itself (mutual-pair Rule 0).
-  const SnapshotView view = CaptureSnapshot(h.agents);
+  const SnapshotView view = CaptureSnapshot(*h.sim);
   EXPECT_EQ(view.node(0).representative, 5u);
   EXPECT_EQ(view.node(5).mode, NodeMode::kActive);
 }
@@ -176,7 +177,7 @@ TEST(ElectionTest, DisconnectedNodesStayActive) {
   h.TeachModel(0, 1);
   h.TeachModel(2, 3);
   RunGlobalElection(*h.sim, h.agents, 0, TestConfig());
-  const SnapshotView view = CaptureSnapshot(h.agents);
+  const SnapshotView view = CaptureSnapshot(*h.sim);
   // One representative per cluster.
   EXPECT_EQ(view.CountActive(), 2u);
   EXPECT_EQ(view.node(1).representative, 0u);
@@ -227,7 +228,7 @@ TEST(ElectionTest, DeadNodesDoNotParticipate) {
   h.sim->Kill(3);  // the would-be winner (largest id)
   const ElectionStats stats = RunGlobalElection(*h.sim, h.agents, 0,
                                                 TestConfig());
-  const SnapshotView view = CaptureSnapshot(h.agents);
+  const SnapshotView view = CaptureSnapshot(*h.sim);
   EXPECT_EQ(stats.num_active, 1u);
   EXPECT_EQ(view.node(0).representative, 2u);  // next-largest id wins
   EXPECT_EQ(view.node(3).mode, NodeMode::kUndefined);  // dead, untouched
@@ -277,7 +278,7 @@ TEST_P(LossSweep, ElectionAlwaysSettles) {
   if (GetParam() == 0.0) {
     // Perfect communication: nobody is left pointing at a passive rep and
     // message count obeys the Table-2 bound.
-    const SnapshotView view = CaptureSnapshot(h.agents);
+    const SnapshotView view = CaptureSnapshot(*h.sim);
     for (NodeId i = 0; i < 25; ++i) {
       if (view.node(i).mode == NodeMode::kPassive) {
         EXPECT_EQ(view.node(view.node(i).representative).mode,

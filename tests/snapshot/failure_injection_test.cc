@@ -59,7 +59,7 @@ struct Net {
   void ExpectSafeOutcome(const ElectionStats& stats) {
     EXPECT_EQ(stats.num_undefined, 0u);
     EXPECT_EQ(stats.num_active + stats.num_passive, agents.size());
-    const SnapshotView view = CaptureSnapshot(agents);
+    const SnapshotView view = CaptureSnapshot(*sim);
     for (NodeId i = 0; i < agents.size(); ++i) {
       EXPECT_NE(view.ResponderFor(i), kInvalidNode) << "node " << i;
     }
@@ -98,7 +98,7 @@ TEST(FailureInjectionTest, AllAcceptsLostHealedByStayActive) {
   // (StayActive healing again substitutes for the severed accepts).
   for (auto& a : net.agents) a->MaintenanceTick();
   net.sim->RunAll();
-  EXPECT_EQ(CaptureSnapshot(net.agents).CountActive(), 1u);
+  EXPECT_EQ(CaptureSnapshot(*net.sim).CountActive(), 1u);
 }
 
 TEST(FailureInjectionTest, AllStayActivesLost) {
@@ -145,7 +145,7 @@ TEST(FailureInjectionTest, HeartbeatsLostTriggersReelectionNotDeadlock) {
     for (auto& a : net.agents) a->MaintenanceTick();
     net.sim->RunAll();
   }
-  const SnapshotView view = CaptureSnapshot(net.agents);
+  const SnapshotView view = CaptureSnapshot(*net.sim);
   EXPECT_EQ(view.CountUndefined(), 0u);
   for (NodeId i = 0; i < 6; ++i) {
     EXPECT_NE(view.ResponderFor(i), kInvalidNode);
@@ -160,7 +160,7 @@ TEST(FailureInjectionTest, HeartbeatRepliesLostToleratedThenReelected) {
     for (auto& a : net.agents) a->MaintenanceTick();
     net.sim->RunAll();
   }
-  const SnapshotView view = CaptureSnapshot(net.agents);
+  const SnapshotView view = CaptureSnapshot(*net.sim);
   EXPECT_EQ(view.CountUndefined(), 0u);
 }
 
@@ -170,7 +170,7 @@ TEST(FailureInjectionTest, NodeDiesMidElection) {
   net.sim->ScheduleAt(1, [&net] { net.sim->Kill(7); });
   for (auto& a : net.agents) a->BeginElection(0);
   net.sim->RunAll();
-  const SnapshotView view = CaptureSnapshot(net.agents);
+  const SnapshotView view = CaptureSnapshot(*net.sim);
   // Some nodes may have accepted node 7 before it died and never heard
   // back: Rule-4 turns them ACTIVE. Nobody is left UNDEFINED.
   EXPECT_EQ(view.CountUndefined(), 0u);
@@ -188,7 +188,7 @@ TEST(FailureInjectionTest, HalfTheNetworkDiesMidElection) {
   });
   for (auto& a : net.agents) a->BeginElection(0);
   net.sim->RunAll();
-  const SnapshotView view = CaptureSnapshot(net.agents);
+  const SnapshotView view = CaptureSnapshot(*net.sim);
   size_t live_undefined = 0;
   for (NodeId i = 0; i < 12; ++i) {
     if (net.sim->alive(i) && view.node(i).mode == NodeMode::kUndefined) {

@@ -73,10 +73,10 @@ TEST(MaintenanceTest, HealthyNetworkStaysStable) {
   Net net(6);
   net.TeachAllPairs(10.0);
   net.Elect();
-  const SnapshotView before = CaptureSnapshot(net.agents);
+  const SnapshotView before = CaptureSnapshot(*net.sim);
   ASSERT_EQ(before.CountActive(), 1u);
   net.Tick();
-  const SnapshotView after = CaptureSnapshot(net.agents);
+  const SnapshotView after = CaptureSnapshot(*net.sim);
   EXPECT_EQ(after.CountActive(), 1u);
   EXPECT_EQ(after.CountSpurious(), 0u);
 }
@@ -99,7 +99,7 @@ TEST(MaintenanceTest, RepresentativeDeathTriggersReelection) {
   Net net(5);
   net.TeachAllPairs(10.0);
   net.Elect();
-  const SnapshotView view = CaptureSnapshot(net.agents);
+  const SnapshotView view = CaptureSnapshot(*net.sim);
   ASSERT_EQ(view.CountActive(), 1u);
   // Find and kill the representative.
   NodeId rep = kInvalidNode;
@@ -109,7 +109,7 @@ TEST(MaintenanceTest, RepresentativeDeathTriggersReelection) {
   net.sim->Kill(rep);
   // First round: heartbeats go unanswered -> timeout -> local re-election.
   net.Tick();
-  const SnapshotView healed = CaptureSnapshot(net.agents);
+  const SnapshotView healed = CaptureSnapshot(*net.sim);
   EXPECT_EQ(healed.CountUndefined(), 0u);
   // Everyone alive ends up represented again (or self-represented).
   size_t live_active = healed.CountActive();
@@ -128,7 +128,7 @@ TEST(MaintenanceTest, ModelDriftForcesReelection) {
   Net net(3);
   net.TeachAllPairs(10.0);
   net.Elect();
-  const SnapshotView view = CaptureSnapshot(net.agents);
+  const SnapshotView view = CaptureSnapshot(*net.sim);
   ASSERT_EQ(view.CountActive(), 1u);
   // Shift every PASSIVE node's value violently so the rep's estimate
   // misses by far more than T.
@@ -138,7 +138,7 @@ TEST(MaintenanceTest, ModelDriftForcesReelection) {
     }
   }
   net.Tick();
-  const SnapshotView healed = CaptureSnapshot(net.agents);
+  const SnapshotView healed = CaptureSnapshot(*net.sim);
   EXPECT_EQ(healed.CountUndefined(), 0u);
   // Old representations were dropped: the drifted nodes re-elected. With
   // everyone drifted differently, models no longer hold and nodes go
@@ -152,11 +152,11 @@ TEST(MaintenanceTest, LoneActivesMergeOverRounds) {
   Net net(4);
   for (auto& a : net.agents) a->SetMeasurement(5.0);
   net.Elect();  // no models -> everyone ACTIVE
-  ASSERT_EQ(CaptureSnapshot(net.agents).CountActive(), 4u);
+  ASSERT_EQ(CaptureSnapshot(*net.sim).CountActive(), 4u);
   net.TeachAllPairs(5.0);
   net.Tick();  // lone actives invite, one wins the pairwise ties
   net.Tick();  // stragglers merge in a second round
-  const SnapshotView merged = CaptureSnapshot(net.agents);
+  const SnapshotView merged = CaptureSnapshot(*net.sim);
   EXPECT_LT(merged.CountActive(), 4u);
   EXPECT_EQ(merged.CountUndefined(), 0u);
 }
@@ -169,7 +169,7 @@ TEST(MaintenanceTest, LowBatteryRepresentativeResigns) {
   Net net(4, sim_config, cfg);
   net.TeachAllPairs(10.0);
   net.Elect();
-  SnapshotView view = CaptureSnapshot(net.agents);
+  SnapshotView view = CaptureSnapshot(*net.sim);
   ASSERT_EQ(view.CountActive(), 1u);
   NodeId rep = kInvalidNode;
   for (NodeId i = 0; i < 4; ++i) {
@@ -185,7 +185,7 @@ TEST(MaintenanceTest, LowBatteryRepresentativeResigns) {
   EXPECT_TRUE(net.agents[rep]->resigned());
   EXPECT_TRUE(net.agents[rep]->represents().empty());
   // Released nodes re-elected somebody else (or themselves).
-  const SnapshotView healed = CaptureSnapshot(net.agents);
+  const SnapshotView healed = CaptureSnapshot(*net.sim);
   for (NodeId i = 0; i < 4; ++i) {
     if (i == rep) continue;
     EXPECT_NE(healed.node(i).representative, rep) << "node " << i;
@@ -218,7 +218,7 @@ TEST(MaintenanceTest, RotationStepsDownAfterConfiguredRounds) {
   Net net(4, {}, cfg);
   net.TeachAllPairs(10.0);
   net.Elect();
-  SnapshotView view = CaptureSnapshot(net.agents);
+  SnapshotView view = CaptureSnapshot(*net.sim);
   ASSERT_EQ(view.CountActive(), 1u);
   NodeId rep = kInvalidNode;
   for (NodeId i = 0; i < 4; ++i) {
@@ -235,7 +235,7 @@ TEST(MaintenanceTest, RotationStepsDownAfterConfiguredRounds) {
   EXPECT_GT(net.agents[rep]->rotation_cooldown_remaining(), 0);
   // Released members re-elect a DIFFERENT representative (the old one is
   // on cooldown and does not offer candidacy).
-  const SnapshotView healed = CaptureSnapshot(net.agents);
+  const SnapshotView healed = CaptureSnapshot(*net.sim);
   EXPECT_EQ(healed.CountUndefined(), 0u);
   for (NodeId i = 0; i < 4; ++i) {
     if (i == rep) continue;
@@ -252,7 +252,7 @@ TEST(MaintenanceTest, RotationCooldownExpiresAndNodeServesAgain) {
   Net net(3, {}, cfg);
   net.TeachAllPairs(10.0);
   net.Elect();
-  ASSERT_EQ(CaptureSnapshot(net.agents).CountActive(), 1u);
+  ASSERT_EQ(CaptureSnapshot(*net.sim).CountActive(), 1u);
   // Across many rounds with aggressive rotation, more than one node gets
   // to serve as a representative.
   std::set<NodeId> servers;
@@ -273,7 +273,7 @@ TEST(MaintenanceTest, RotationDisabledByDefault) {
       net.sim->metrics().sent(MessageType::kResign);
   for (int round = 0; round < 6; ++round) net.Tick();
   EXPECT_EQ(net.sim->metrics().sent(MessageType::kResign), resigns_before);
-  EXPECT_EQ(CaptureSnapshot(net.agents).CountActive(), 1u);
+  EXPECT_EQ(CaptureSnapshot(*net.sim).CountActive(), 1u);
 }
 
 TEST(MaintenanceDriverTest, SchedulesRoundsAndReportsStats) {

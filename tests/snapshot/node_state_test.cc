@@ -6,6 +6,7 @@ namespace snapq {
 namespace {
 
 using NodeInfo = SnapshotView::NodeInfo;
+using Entry = SnapshotView::Entry;
 
 NodeInfo Active(NodeId self) {
   NodeInfo info;
@@ -29,9 +30,8 @@ TEST(NodeModeTest, Names) {
 }
 
 TEST(SnapshotViewTest, CountsByMode) {
-  NodeInfo rep = Active(0);
-  rep.represents = {{1, 1}, {2, 1}};
-  SnapshotView view({rep, Passive(0), Passive(0), NodeInfo{}});
+  SnapshotView view({Active(0), Passive(0), Passive(0), NodeInfo{}},
+                    {{0, 1, 1}, {0, 2, 1}});
   EXPECT_EQ(view.num_nodes(), 4u);
   EXPECT_EQ(view.CountActive(), 1u);
   EXPECT_EQ(view.CountPassive(), 2u);
@@ -47,27 +47,20 @@ TEST(SnapshotViewTest, DeadNodesExcludedFromCounts) {
 }
 
 TEST(SnapshotViewTest, CurrentRepresentationMatchesEpochs) {
-  NodeInfo rep = Active(0);
-  rep.represents = {{1, 5}};
-  SnapshotView view({rep, Passive(0, 5)});
+  SnapshotView view({Active(0), Passive(0, 5)}, {{0, 1, 5}});
   EXPECT_TRUE(view.RepresentsCurrently(0, 1));
 }
 
 TEST(SnapshotViewTest, StaleWhenEpochMoved) {
-  NodeInfo rep = Active(0);
-  rep.represents = {{1, 5}};
   // Node 1 re-elected (epoch 6) and now points at node 0 again... but the
   // holder recorded epoch 5, so the old entry is stale.
-  SnapshotView view({rep, Passive(0, 6)});
+  SnapshotView view({Active(0), Passive(0, 6)}, {{0, 1, 5}});
   EXPECT_FALSE(view.RepresentsCurrently(0, 1));
 }
 
 TEST(SnapshotViewTest, StaleWhenRepresentativeChanged) {
-  NodeInfo rep0 = Active(0);
-  rep0.represents = {{2, 1}};
-  NodeInfo rep1 = Active(1);
-  rep1.represents = {{2, 2}};
-  SnapshotView view({rep0, rep1, Passive(1, 2)});
+  SnapshotView view({Active(0), Active(1), Passive(1, 2)},
+                    {{0, 2, 1}, {1, 2, 2}});
   EXPECT_FALSE(view.RepresentsCurrently(0, 2));
   EXPECT_TRUE(view.RepresentsCurrently(1, 2));
   EXPECT_EQ(view.CountSpurious(), 1u);  // node 0 holds a stale entry
@@ -79,9 +72,8 @@ TEST(SnapshotViewTest, SelfIsAlwaysCurrent) {
 }
 
 TEST(SnapshotViewTest, SpuriousCountsNodesNotEntries) {
-  NodeInfo rep = Active(0);
-  rep.represents = {{1, 9}, {2, 9}};  // both stale
-  SnapshotView view({rep, Passive(3, 1), Passive(3, 1), Active(3)});
+  SnapshotView view({Active(0), Passive(3, 1), Passive(3, 1), Active(3)},
+                    {{0, 1, 9}, {0, 2, 9}});  // both stale
   EXPECT_EQ(view.CountSpurious(), 1u);
 }
 
@@ -91,25 +83,46 @@ TEST(SnapshotViewTest, ResponderForActiveIsSelf) {
 }
 
 TEST(SnapshotViewTest, ResponderForPassiveIsCurrentRep) {
-  NodeInfo rep = Active(0);
-  rep.represents = {{1, 3}};
-  SnapshotView view({rep, Passive(0, 3)});
+  SnapshotView view({Active(0), Passive(0, 3)}, {{0, 1, 3}});
   EXPECT_EQ(view.ResponderFor(1), 0u);
 }
 
 TEST(SnapshotViewTest, ResponderMissingWhenRepDead) {
   NodeInfo rep = Active(0);
-  rep.represents = {{1, 3}};
   rep.alive = false;
-  SnapshotView view({rep, Passive(0, 3)});
+  SnapshotView view({rep, Passive(0, 3)}, {{0, 1, 3}});
   EXPECT_EQ(view.ResponderFor(1), kInvalidNode);
 }
 
 TEST(SnapshotViewTest, ResponderMissingWhenEntryStale) {
-  NodeInfo rep = Active(0);
-  rep.represents = {{1, 2}};  // stale: node 1 is at epoch 3
-  SnapshotView view({rep, Passive(0, 3)});
+  // Stale: node 1 is at epoch 3.
+  SnapshotView view({Active(0), Passive(0, 3)}, {{0, 1, 2}});
   EXPECT_EQ(view.ResponderFor(1), kInvalidNode);
+}
+
+TEST(SnapshotViewTest, EntriesAreSlicedPerRepresentative) {
+  SnapshotView view({Active(0), Passive(0), Active(2), Passive(2)},
+                    {{0, 1, 1}, {2, 1, 1}, {2, 3, 1}});
+  EXPECT_EQ(view.entries().size(), 3u);
+  ASSERT_EQ(view.represents(0).size(), 1u);
+  EXPECT_EQ(view.represents(0)[0].member, 1u);
+  EXPECT_TRUE(view.represents(1).empty());
+  ASSERT_EQ(view.represents(2).size(), 2u);
+  EXPECT_EQ(view.represents(2)[0].member, 1u);
+  EXPECT_EQ(view.represents(2)[1].member, 3u);
+  EXPECT_TRUE(view.represents(3).empty());
+  EXPECT_FALSE(view.RepresentsCurrently(2, 1));  // node 1 points at 0
+  EXPECT_TRUE(view.RepresentsCurrently(2, 3));
+}
+
+TEST(SnapshotViewDeathTest, EntriesMustBeSortedUniqueAndInRange) {
+  const std::vector<NodeInfo> rows = {Active(0), Passive(0), Passive(0)};
+  EXPECT_DEATH(SnapshotView(rows, std::vector<Entry>{{0, 2, 1}, {0, 1, 1}}),
+               "SNAPQ_CHECK");
+  EXPECT_DEATH(SnapshotView(rows, std::vector<Entry>{{0, 1, 1}, {0, 1, 1}}),
+               "SNAPQ_CHECK");
+  EXPECT_DEATH(SnapshotView(rows, std::vector<Entry>{{0, 3, 1}}),
+               "SNAPQ_CHECK");
 }
 
 TEST(SnapshotViewTest, DeadUnrepresentedNodeHasNoResponder) {
