@@ -30,7 +30,7 @@
 #include "common/table_printer.h"
 #include "obs/accuracy.h"
 #include "obs/json.h"
-#include "obs/profiler.h"
+#include "obs/metric_registry.h"
 
 namespace {
 

@@ -92,8 +92,7 @@ void PrintHelp() {
       "                        message rates, RSS), optionally filtered\n"
       "  \\trace [id]           list recorded causal traces, or show one\n"
       "                        trace's report with invariant verdicts\n"
-      "  \\profile              hot-path profile since startup: operation\n"
-      "                        counts and rates per second\n"
+      "  \\profile              hot-path operation counts since startup\n"
       "  \\help                 this text\n"
       "  \\quit                 exit\n");
 }

@@ -92,6 +92,11 @@ bool LinkModel::SampleLoss(NodeId from, NodeId to, Rng& rng) const {
   return rng.Bernoulli(p);
 }
 
+void LinkModel::SetLossProbability(double p) {
+  SNAPQ_CHECK(p >= 0.0 && p <= 1.0);
+  loss_probability_ = p;
+}
+
 void LinkModel::SetLinkLoss(NodeId from, NodeId to, double loss_probability) {
   SNAPQ_CHECK(loss_probability >= 0.0 && loss_probability <= 1.0);
   link_loss_[static_cast<uint64_t>(from) * num_nodes() + to] =

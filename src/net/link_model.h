@@ -67,6 +67,10 @@ class LinkModel {
   /// Samples whether a transmission from->to is lost (true = lost).
   bool SampleLoss(NodeId from, NodeId to, Rng& rng) const;
 
+  /// Changes the loss probability of every link without a per-link
+  /// override (a loss burst or a partition mid-run). `p` is in [0, 1].
+  void SetLossProbability(double p);
+
   /// Overrides the loss probability of the directed link from->to (e.g. an
   /// obstacle in the direct path, §3's spurious-representative scenario).
   void SetLinkLoss(NodeId from, NodeId to, double loss_probability);

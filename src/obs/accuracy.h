@@ -28,7 +28,7 @@
 // plain doubles — the caller (the query executor, or the api-level
 // sweep) computes the signed error and the metric distance d(x, x̂) and
 // passes the effective threshold per round. Per-node attribution reuses
-// the profiler's fixed-memory LogHistogram; everything is preallocated
+// the registry's fixed-memory LogHistogram; everything is preallocated
 // at construction, so BeginRound/ObserveEstimate/EndRound never allocate
 // (with the journal disabled) — pinned by the audit allocation test.
 //
@@ -46,7 +46,6 @@
 #include "obs/gauge_pack.h"
 #include "obs/journal.h"
 #include "obs/metric_registry.h"
-#include "obs/profiler.h"
 
 namespace snapq::obs {
 

@@ -233,9 +233,6 @@ class EnergyLedger {
   /// -1 while no forecast exists.
   double coverage_knee_tick() const { return coverage_knee_tick_; }
 
-  const TimeSeries& min_remaining_series() const { return min_series_; }
-  const TimeSeries& median_remaining_series() const { return median_series_; }
-
   /// Value capture for the energy map sidecar.
   EnergyLedgerSnapshot TakeSnapshot() const;
 

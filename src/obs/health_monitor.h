@@ -56,7 +56,6 @@ class SnapshotHealthMonitor {
 
   uint64_t num_samples() const { return num_samples_; }
   Time last_time() const { return last_time_; }
-  const HealthSample& last_sample() const { return last_; }
 
   /// Derived values of the most recent sample.
   double coverage() const;

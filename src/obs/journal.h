@@ -56,7 +56,6 @@ class JournalEvent {
   std::optional<double> GetNum(std::string_view key) const;
   std::optional<std::string> GetStr(std::string_view key) const;
   std::optional<bool> GetBool(std::string_view key) const;
-  size_t num_fields() const { return fields_.size(); }
 
   /// (key, type) view of the fields in emission order, with type one of
   /// "int", "num", "str", "bool". For schema-stability tests: asserts on

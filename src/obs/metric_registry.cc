@@ -1,41 +1,90 @@
 #include "obs/metric_registry.h"
 
 #include <algorithm>
-#include <utility>
+#include <cmath>
 
-#include "common/check.h"
 #include "common/string_util.h"
 #include "obs/json.h"
 
 namespace snapq::obs {
 
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
-  SNAPQ_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
+int LogHistogram::BucketIndex(double v) {
+  if (!(v > 0.0) || std::isnan(v)) return 0;  // 0, negatives, NaN
+  int exp = 0;
+  const double m = std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
+  // v lies in the octave [2^(exp-1), 2^exp); quarter it by mantissa.
+  const int sub = std::min(kSubBuckets - 1,
+                           static_cast<int>((m - 0.5) * 2.0 * kSubBuckets));
+  const int index = (exp - 1 - kMinExp) * kSubBuckets + sub + 1;
+  return std::clamp(index, 0, kNumBuckets - 1);
 }
 
-void Histogram::Observe(double x) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  ++buckets_[static_cast<size_t>(it - bounds_.begin())];
+double LogHistogram::BucketLowerBound(int index) {
+  if (index <= 0) return 0.0;
+  return std::exp2(kMinExp + static_cast<double>(index - 1) / kSubBuckets);
+}
+
+double LogHistogram::BucketUpperBound(int index) {
+  return std::exp2(kMinExp + static_cast<double>(index) / kSubBuckets);
+}
+
+void LogHistogram::Observe(double v) {
+  if (std::isnan(v)) v = 0.0;
+  v = std::max(v, 0.0);
+  ++buckets_[static_cast<size_t>(BucketIndex(v))];
+  if (count_ == 0) {
+    min_ = v;
+    max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
   ++count_;
-  sum_ += x;
-  if (count_ == 1 || x > max_) max_ = x;
+  sum_ += v;
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  SNAPQ_CHECK(bounds_ == other.bounds_);
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+double LogHistogram::Percentile(double pct) const {
+  if (count_ == 0) return 0.0;
+  pct = std::clamp(pct, 0.0, 100.0);
+  if (pct >= 100.0) return max_;
+  const double target =
+      std::max(1.0, std::ceil(pct / 100.0 * static_cast<double>(count_)));
+  uint64_t cumulative = 0;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    const uint64_t in_bucket = buckets_[static_cast<size_t>(i)];
+    if (in_bucket == 0) continue;
+    cumulative += in_bucket;
+    if (static_cast<double>(cumulative) >= target) {
+      const double before = static_cast<double>(cumulative - in_bucket);
+      const double fraction =
+          (target - before) / static_cast<double>(in_bucket);
+      const double lower = BucketLowerBound(i);
+      const double upper = BucketUpperBound(i);
+      return std::clamp(lower + fraction * (upper - lower), min_, max_);
+    }
+  }
+  return max_;  // unreachable: counts always sum to count_
+}
+
+void LogHistogram::MergeFrom(const LogHistogram& other) {
+  if (other.count_ == 0) return;
+  for (size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  if (other.count_ > 0) max_ = std::max(max_, other.max_);
 }
 
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+void LogHistogram::Reset() {
+  buckets_.fill(0);
   count_ = 0;
   sum_ = 0.0;
+  min_ = 0.0;
   max_ = 0.0;
 }
 
@@ -59,12 +108,8 @@ Gauge* MetricRegistry::GetGauge(const std::string& name, NodeId node) {
   return &node_gauges_[name][node];
 }
 
-Histogram* MetricRegistry::GetHistogram(const std::string& name,
-                                        std::vector<double> bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return &it->second;
-  return &histograms_.try_emplace(name, Histogram(std::move(bounds)))
-              .first->second;
+LogHistogram* MetricRegistry::GetHistogram(const std::string& name) {
+  return &histograms_[name];
 }
 
 void MetricRegistry::MergeFrom(const MetricRegistry& other) {
@@ -87,14 +132,7 @@ void MetricRegistry::MergeFrom(const MetricRegistry& other) {
     }
   }
   for (const auto& [name, h] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      Histogram copy(h.bounds());
-      copy.MergeFrom(h);
-      histograms_.try_emplace(name, std::move(copy));
-    } else {
-      it->second.MergeFrom(h);
-    }
+    histograms_[name].MergeFrom(h);
   }
 }
 
@@ -164,15 +202,18 @@ std::string MetricRegistry::ToJson() const {
     body += JsonNumber(h.sum());
     body += ",\"max\":";
     body += JsonNumber(h.max_seen());
-    body += ",\"bounds\":[";
-    for (size_t i = 0; i < h.bounds().size(); ++i) {
-      if (i > 0) body += ',';
-      body += JsonNumber(h.bounds()[i]);
-    }
-    body += "],\"buckets\":[";
-    for (size_t i = 0; i < h.buckets().size(); ++i) {
-      if (i > 0) body += ',';
-      body += JsonNumber(static_cast<double>(h.buckets()[i]));
+    body += ",\"buckets\":[";
+    for (int i = 0; i < LogHistogram::kNumBuckets; ++i) {
+      const uint64_t n = h.buckets()[static_cast<size_t>(i)];
+      if (n == 0) continue;
+      if (body.back() != '[') body += ',';
+      body += '[';
+      body += JsonNumber(LogHistogram::BucketLowerBound(i));
+      body += ',';
+      body += JsonNumber(LogHistogram::BucketUpperBound(i));
+      body += ',';
+      body += JsonNumber(static_cast<double>(n));
+      body += ']';
     }
     body += "]}";
     AppendEntry(&out, &first, name, body);
@@ -209,12 +250,16 @@ std::string MetricRegistry::ToCsv() const {
                      static_cast<unsigned long long>(h.count()));
     out += StrFormat("histogram_sum,%s,%s\n", name.c_str(),
                      JsonNumber(h.sum()).c_str());
-    for (size_t i = 0; i < h.buckets().size(); ++i) {
-      const std::string le =
-          i < h.bounds().size() ? JsonNumber(h.bounds()[i]) : "inf";
-      out += StrFormat("histogram_bucket,%s{le=%s},%llu\n", name.c_str(),
-                       le.c_str(),
-                       static_cast<unsigned long long>(h.buckets()[i]));
+    out += StrFormat("histogram_max,%s,%s\n", name.c_str(),
+                     JsonNumber(h.max_seen()).c_str());
+    for (int i = 0; i < LogHistogram::kNumBuckets; ++i) {
+      const uint64_t n = h.buckets()[static_cast<size_t>(i)];
+      if (n == 0) continue;
+      out += StrFormat(
+          "histogram_bucket,%s{ge=%s;lt=%s},%llu\n", name.c_str(),
+          JsonNumber(LogHistogram::BucketLowerBound(i)).c_str(),
+          JsonNumber(LogHistogram::BucketUpperBound(i)).c_str(),
+          static_cast<unsigned long long>(n));
     }
   }
   return out;

@@ -1,4 +1,4 @@
-// The metric registry: named counters, gauges and fixed-bucket histograms,
+// The metric registry: named counters, gauges and log-bucketed histograms,
 // optionally labeled by node ("election.messages_sent{node=17}"). The
 // registry is the single source of truth for experiment accounting — the
 // simulator's Metrics object is a thin façade over it, protocol layers
@@ -15,10 +15,16 @@
 //    registered later;
 //  * cross-run aggregation: MergeFrom() folds another registry in
 //    (counters and histogram buckets add, gauges keep the maximum — a
-//    high-watermark, which is what per-node message bounds need).
+//    high-watermark, which is what per-node message bounds need);
+//  * one histogram: LogHistogram, whose buckets are fixed by the value
+//    alone, so no call site chooses bounds and every merge is
+//    bucket-exact. The accuracy auditor and the churn tracker use the same
+//    class outside the registry.
 //
 // Phase accounting (what one experiment phase cost) is the simulator
 // Metrics façade's Snapshot()/Delta(); the registry only accumulates.
+// Nothing it holds comes from a clock, so every exported value is a
+// function of the seed and the input.
 //
 // Not thread-safe: the simulator is single-threaded by design; parallel
 // experiment runs each own a registry and merge afterwards. The merge
@@ -35,7 +41,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "net/node_id.h"
 
@@ -68,42 +73,71 @@ class Gauge {
   double value_ = 0.0;
 };
 
-/// Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds;
-/// an implicit +inf bucket catches the rest. Bucket i counts observations
-/// x <= bounds[i] (and > bounds[i-1]).
-class Histogram {
+/// Log-bucketed histogram with exact count/sum/min/max and percentile
+/// estimates accurate to one bucket (buckets grow by 2^(1/4) ~ 19%, so a
+/// reported p50/p95/p99 is within 19% of the exact order statistic, and
+/// exact for single-valued buckets). Fixed memory (~1.7 KB, the
+/// quantile-sketch lineage of Medians and Beyond and HDR histograms), no
+/// sorting; values outside the covered range saturate into the edge
+/// buckets (never UB).
+class LogHistogram {
  public:
-  explicit Histogram(std::vector<double> bounds);
+  /// Sub-buckets per power of two.
+  static constexpr int kSubBuckets = 4;
+  /// Smallest resolvable value: 2^kMinExp. Anything below (including 0
+  /// and negatives) lands in the underflow bucket 0.
+  static constexpr int kMinExp = -10;
+  /// Largest resolvable value: 2^kMaxExp. Anything above saturates into
+  /// the top bucket (max() stays exact).
+  static constexpr int kMaxExp = 40;
+  static constexpr int kNumBuckets =
+      (kMaxExp - kMinExp) * kSubBuckets + 1;  // +1 underflow
 
-  void Observe(double x);
+  LogHistogram() = default;
+
+  void Observe(double v);
 
   uint64_t count() const { return count_; }
   double sum() const { return sum_; }
   double mean() const {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
-  double max_seen() const { return max_; }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// bounds().size() + 1 entries; the last is the +inf overflow bucket.
-  const std::vector<uint64_t>& buckets() const { return buckets_; }
+  double min_seen() const { return count_ == 0 ? 0.0 : min_; }
+  double max_seen() const { return count_ == 0 ? 0.0 : max_; }
 
-  /// Adds `other`'s observations; bucket bounds must match.
-  void MergeFrom(const Histogram& other);
+  /// Estimated value at percentile `pct` in [0, 100]: walks the buckets
+  /// to the target rank and interpolates inside the bucket, clamped to
+  /// [min_seen, max_seen] (a single sample is therefore exact). Empty
+  /// histogram: 0.
+  double Percentile(double pct) const;
+
+  /// Bucket i covers [LowerBound(i), UpperBound(i)); bucket 0 starts at 0
+  /// and the top bucket absorbs everything >= 2^kMaxExp.
+  static double BucketLowerBound(int index);
+  static double BucketUpperBound(int index);
+  static int BucketIndex(double v);
+
+  const std::array<uint64_t, static_cast<size_t>(kNumBuckets)>& buckets()
+      const {
+    return buckets_;
+  }
+
+  /// Adds `other`'s observations. Bucket-exact: merging then reading
+  /// percentiles equals bucketing the concatenated samples.
+  void MergeFrom(const LogHistogram& other);
   void Reset();
 
  private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> buckets_;
+  std::array<uint64_t, static_cast<size_t>(kNumBuckets)> buckets_{};
   uint64_t count_ = 0;
   double sum_ = 0.0;
+  double min_ = 0.0;
   double max_ = 0.0;
 };
 
 /// Canonical flattened instrument name: `name` alone, or "name{node=17}"
 /// for node-labeled instruments. Used by the exporters.
 std::string LabeledName(const std::string& name, NodeId node);
-
-class Span;
 
 class MetricRegistry {
  public:
@@ -118,13 +152,9 @@ class MetricRegistry {
   Counter* GetCounter(const std::string& name, NodeId node);
   Gauge* GetGauge(const std::string& name);
   Gauge* GetGauge(const std::string& name, NodeId node);
-  /// `bounds` is used on first registration only; later calls with the
-  /// same name ignore it.
-  Histogram* GetHistogram(const std::string& name,
-                          std::vector<double> bounds);
+  LogHistogram* GetHistogram(const std::string& name);
 
   /// Folds `other` in: counters and histograms add, gauges keep the max.
-  /// Histogram bucket layouts must match for shared names.
   void MergeFrom(const MetricRegistry& other);
 
   /// Zeroes every instrument; registrations (and handed-out pointers)
@@ -132,10 +162,11 @@ class MetricRegistry {
   void Reset();
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
-  /// {"count":..,"sum":..,"max":..,"bounds":[..],"buckets":[..]}}}
+  /// {"count":..,"sum":..,"max":..,"buckets":[[lower,upper,n],..]}}},
+  /// listing a histogram's non-empty buckets only, each [lower, upper).
   std::string ToJson() const;
-  /// One instrument per line: kind,name,value (histograms emit count, sum
-  /// and one line per bucket).
+  /// One instrument per line: kind,name,value (histograms emit count, sum,
+  /// max and one "name{ge=lower;lt=upper}" line per non-empty bucket).
   std::string ToCsv() const;
 
   size_t num_instruments() const;
@@ -146,17 +177,7 @@ class MetricRegistry {
   std::map<std::string, std::map<NodeId, Counter>> node_counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, std::map<NodeId, Gauge>> node_gauges_;
-  std::map<std::string, Histogram> histograms_;
-
-  friend class Span;
-  /// Span's "<phase>.wall_us" and "<phase>.sim_ticks" handles, one pair
-  /// per ProfPhase, resolved by the phase's first span that records each.
-  static constexpr size_t kSpanPhases = 3;
-  struct SpanHistograms {
-    Histogram* wall_us = nullptr;
-    Histogram* sim_ticks = nullptr;
-  };
-  std::array<SpanHistograms, kSpanPhases> span_histograms_{};
+  std::map<std::string, LogHistogram> histograms_;
 };
 
 /// Process-wide registry for cross-run aggregation: experiment drivers

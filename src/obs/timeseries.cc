@@ -230,7 +230,6 @@ void TelemetryRecorder::SampleNow(Time t) {
     probe.series.Push(t, value);
   }
   ++num_samples_;
-  last_sample_time_ = t;
 }
 
 const TimeSeries* TelemetryRecorder::series(std::string_view name) const {

@@ -168,7 +168,6 @@ class TelemetryRecorder {
   size_t num_series() const { return probes_.size(); }
   const TimeSeries* series(std::string_view name) const;
   uint64_t num_samples() const { return num_samples_; }
-  Time last_sample_time() const { return last_sample_time_; }
   const TelemetryConfig& config() const { return config_; }
 
   /// Visits (name, series) pairs in registration order.
@@ -195,7 +194,6 @@ class TelemetryRecorder {
   MetricRegistry* registry_;
   std::vector<Probe> probes_;  // reserved to kMaxTelemetrySeries: stable
   uint64_t num_samples_ = 0;
-  Time last_sample_time_ = 0;
   int statm_fd_ = -1;
   double page_kb_ = 4.0;
 };

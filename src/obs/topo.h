@@ -70,7 +70,6 @@
 #include "obs/gauge_pack.h"
 #include "obs/journal.h"
 #include "obs/metric_registry.h"
-#include "obs/profiler.h"
 
 namespace snapq::obs {
 
@@ -261,7 +260,6 @@ class ChurnTracker {
   /// Median completed tenure in ticks; while none completed, the median
   /// ongoing tenure (0 when nothing was ever active).
   double tenure_p50() const { return tenure_p50_; }
-  const LogHistogram& tenure_histogram() const { return tenure_hist_; }
   size_t grid() const { return grid_; }
   /// Cumulative elections in grid cell (row-major `cell`).
   uint64_t RegionElections(size_t cell) const;

@@ -43,7 +43,7 @@ const char* TraceRootKindName(TraceRootKind kind);
 enum class TraceSpanKind {
   kRoot,     ///< trace root (one per trace)
   kMessage,  ///< one radio transmission and its deliveries
-  kPhase,    ///< a timed protocol phase (from obs::Span)
+  kPhase,    ///< a protocol phase's simulated interval (RecordPhase)
   kInstant,  ///< a zero-length annotation (e.g. "query.respond")
 };
 
@@ -126,8 +126,9 @@ class Tracer {
   void RecordInstant(const TraceContext& parent, std::string name, NodeId node,
                      Time t, int64_t value = 0);
 
-  /// Records a timed phase span [begin, end] under `parent` (obs::Span
-  /// calls this when a trace context is attached).
+  /// Records a phase span [begin, end] in simulated time under `parent`.
+  /// The election, a maintenance round and a query execution call this
+  /// where they end; a no-op when `parent` is unsampled.
   void RecordPhase(const TraceContext& parent, std::string name, Time begin,
                    Time end);
 

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "obs/accuracy.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "query/aggregation.h"
 #include "query/parser.h"
 #include "query/predicate.h"
@@ -239,13 +238,11 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   const size_t n = agents_->size();
   SNAPQ_CHECK_LT(options.sink, n);
   obs::ProfCount(obs::HotOp::kQueriesExecuted);
-  obs::Span span(sim_->registry(), obs::ProfPhase::kQueryExecution);
+  const Time begin = sim_->now();
   // Root cause: the injected query. `value` records the USE SNAPSHOT flag
   // so the analyzer knows which invariant applies.
   const TraceContext qroot = sim_->MintTraceRoot(
       obs::TraceRootKind::kQuery, options.sink, use_snapshot ? 1 : 0);
-  span.AttachTrace(sim_->tracer(), qroot);
-  span.BeginSim(sim_->now());
   Simulator::TraceScope trace_scope(*sim_, qroot);
   QueryResult result;
 
@@ -266,11 +263,10 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
   obs::MetricRegistry& reg = sim_->registry();
   Instruments& ins = instruments_;
   if (ins.executions == nullptr) {
-    static const std::vector<double> node_buckets{0,  1,  2,   5,   10,
-                                                  20, 50, 100, 200, 500};
     ins.executions = reg.GetCounter("query.executions");
-    ins.participants = reg.GetHistogram("query.participants", node_buckets);
-    ins.responders = reg.GetHistogram("query.responders", node_buckets);
+    ins.participants = reg.GetHistogram("query.participants");
+    ins.responders = reg.GetHistogram("query.responders");
+    ins.sim_ticks = reg.GetHistogram("query.execute.sim_ticks");
   }
   ins.executions->Inc();
   if (use_snapshot) {
@@ -391,7 +387,10 @@ QueryResult QueryExecutor::ExecuteRegion(const Rect& region,
     *options.provenance = Provenance(tree, options);
   }
 
-  span.EndSim(sim_->now());
+  if (sim_->tracer() != nullptr) {
+    sim_->tracer()->RecordPhase(qroot, "query.execute", begin, sim_->now());
+  }
+  ins.sim_ticks->Observe(static_cast<double>(sim_->now() - begin));
   return result;
 }
 

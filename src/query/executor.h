@@ -36,7 +36,6 @@ namespace obs {
 class AccuracyAuditor;
 class Counter;
 class Gauge;
-class Histogram;
 }  // namespace obs
 
 /// One returned row (drill-through queries).
@@ -240,8 +239,9 @@ class QueryExecutor {
   struct Instruments {
     obs::Counter* executions = nullptr;
     obs::Counter* snapshot_executions = nullptr;
-    obs::Histogram* participants = nullptr;
-    obs::Histogram* responders = nullptr;
+    obs::LogHistogram* participants = nullptr;
+    obs::LogHistogram* responders = nullptr;
+    obs::LogHistogram* sim_ticks = nullptr;  ///< "query.execute.sim_ticks"
     obs::Gauge* energy_drained = nullptr;
     std::vector<obs::Counter*> energy_tx;  ///< per node, on first charge
   };

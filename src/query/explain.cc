@@ -345,14 +345,12 @@ Result<ExplainReport> ExplainQuery(QueryExecutor& executor,
     reg.GetCounter("explain.analyze.runs")->Inc();
     const double est_p = static_cast<double>(report.estimated.participants);
     const double act_p = static_cast<double>(report.actual->participants);
-    const std::vector<double> delta_buckets{0, 1, 2, 5, 10, 20, 50};
-    reg.GetHistogram("explain.participant_delta", delta_buckets)
+    reg.GetHistogram("explain.participant_delta")
         ->Observe(std::abs(est_p - act_p));
-    const std::vector<double> pct_buckets{0, 1, 2, 5, 10, 25, 50, 100};
     const double pct =
         act_p == 0.0 ? (est_p == 0.0 ? 0.0 : 100.0)
                      : std::abs(est_p - act_p) / act_p * 100.0;
-    reg.GetHistogram("explain.estimate_error_pct", pct_buckets)->Observe(pct);
+    reg.GetHistogram("explain.estimate_error_pct")->Observe(pct);
 
     const double max_abs_error = report.MaxAbsModelError();
     const size_t estimated_rows = report.EstimatedRows();

@@ -38,7 +38,8 @@ namespace snapq {
 
 /// Simulator-wide knobs.
 struct SimConfig {
-  /// Default per-delivery loss probability (the paper's P_loss).
+  /// Initial per-delivery loss probability (the paper's P_loss). The live
+  /// value is links().loss_probability().
   double loss_probability = 0.0;
   /// Probability that a node in range overhears a unicast not addressed to
   /// it (§6.3 uses 5%).
@@ -116,7 +117,7 @@ class Simulator {
 
   /// Failure injection: changes the uniform link loss probability mid-run
   /// (e.g. a soak driver simulating a loss burst or a partition).
-  void SetLossProbability(double p) { config_.loss_probability = p; }
+  void SetLossProbability(double p) { links_.SetLossProbability(p); }
 
   const LinkModel& links() const { return links_; }
   LinkModel& mutable_links() { return links_; }

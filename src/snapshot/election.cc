@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 
 namespace snapq {
 
@@ -54,8 +53,6 @@ ElectionStats RunGlobalElection(
     const SnapshotConfig& config) {
   SNAPQ_CHECK_GE(t0, sim.now());
   obs::ProfCount(obs::HotOp::kElectionRounds);
-  obs::Span span(sim.registry(), obs::ProfPhase::kElection);
-  span.BeginSim(t0);
   sim.journal().Emit("election.start", t0, [&](obs::JournalEvent& e) {
     e.Int("nodes", static_cast<int64_t>(agents.size()));
   });
@@ -63,7 +60,6 @@ ElectionStats RunGlobalElection(
   // refinement message) hangs off this trace.
   const TraceContext root =
       sim.MintTraceRoot(obs::TraceRootKind::kElection, kInvalidNode);
-  span.AttachTrace(sim.tracer(), root);
   {
     Simulator::TraceScope scope(sim, root);
     sim.ScheduleAt(t0, [&sim] { sim.ResetPerNodeCounters(); });
@@ -75,7 +71,7 @@ ElectionStats RunGlobalElection(
   // acknowledgments scheduled on the final tick.
   const Time bound = t0 + 3 + config.max_wait + config.rule4_hard_cap + 2;
   sim.RunUntil(bound);
-  span.EndSim(sim.now());
+  const Time end = sim.now();
 
   const ElectionStats stats = SummarizeSnapshot(sim);
 
@@ -84,8 +80,8 @@ ElectionStats RunGlobalElection(
   // keep the high-watermark; the histogram accumulates the distribution.
   obs::MetricRegistry& reg = sim.registry();
   reg.GetCounter("election.runs")->Inc();
-  obs::Histogram* per_node = reg.GetHistogram(
-      "election.messages_per_node", {0, 1, 2, 3, 4, 5, 6, 8, 12, 16});
+  obs::LogHistogram* per_node =
+      reg.GetHistogram("election.messages_per_node");
   for (const auto& agent : agents) {
     if (!sim.alive(agent->id())) continue;
     const double sent =
@@ -104,6 +100,12 @@ ElectionStats RunGlobalElection(
         .Num("avg_messages_per_node", stats.avg_messages_per_node)
         .Num("max_messages_per_node", stats.max_messages_per_node);
   });
+  // The phase span is recorded last, after everything the election traced.
+  if (sim.tracer() != nullptr) {
+    sim.tracer()->RecordPhase(root, "election", t0, end);
+  }
+  reg.GetHistogram("election.sim_ticks")
+      ->Observe(static_cast<double>(end - t0));
   return stats;
 }
 

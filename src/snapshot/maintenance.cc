@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "snapshot/election.h"
 
 namespace snapq {
@@ -55,15 +54,18 @@ void MaintenanceDriver::RunRound(Time round_start, Time /*horizon*/,
   const TraceContext round_ctx =
       sim_->MintTraceRoot(obs::TraceRootKind::kHeartbeatRound, kInvalidNode);
   {
-    obs::Span tick_span(sim_->registry(), obs::ProfPhase::kMaintenanceRound);
-    tick_span.AttachTrace(sim_->tracer(), round_ctx);
-    tick_span.BeginSim(round_start);
     Simulator::TraceScope scope(*sim_, round_ctx);
     for (auto& agent : *agents_) {
       agent->MaintenanceTick();
     }
-    tick_span.EndSim(sim_->now());
   }
+  if (sim_->tracer() != nullptr) {
+    sim_->tracer()->RecordPhase(round_ctx, "maintenance.tick", round_start,
+                                sim_->now());
+  }
+  sim_->registry()
+      .GetHistogram("maintenance.tick.sim_ticks")
+      ->Observe(static_cast<double>(sim_->now() - round_start));
   sim_->registry().GetCounter("maintenance.rounds")->Inc();
   if (!callback) return;
   // Measure after the round's re-elections quiesce but before the next
@@ -88,8 +90,7 @@ void MaintenanceDriver::RunRound(Time round_start, Time /*horizon*/,
     obs::MetricRegistry& reg = sim_->registry();
     reg.GetGauge("maintenance.snapshot_size")
         ->Set(static_cast<double>(stats.snapshot_size));
-    reg.GetHistogram("maintenance.messages_per_node",
-                     {0, 0.5, 1, 2, 4, 8, 16, 32})
+    reg.GetHistogram("maintenance.messages_per_node")
         ->Observe(stats.avg_messages_per_node);
     sim_->journal().Emit(
         "maintenance.round", sim_->now(), [&](obs::JournalEvent& e) {

@@ -151,12 +151,11 @@ TrialResult RunOneTrial(uint64_t seed) {
   return result;
 }
 
-/// Every instrument of `reg` as (kind,name) -> value. The CSV export
-/// lists every instrument, but prints gauges and histogram sums to 12
-/// digits, so those two are read back from the instruments themselves to
-/// keep the comparison bit-exact. Phase-span wall-time histograms measure
-/// real elapsed time — the one thing that legitimately differs across
-/// scheduling — and are left out.
+/// Every instrument of `reg` as (kind,name) -> value, histogram buckets
+/// included (a bucket's name carries its bounds). The CSV export lists
+/// every instrument, but prints gauges and histogram sums and maxima to 12
+/// digits, so those are read back from the instruments themselves to keep
+/// the comparison bit-exact.
 std::map<std::string, double> ExactValues(obs::MetricRegistry& reg) {
   std::map<std::string, double> values;
   std::istringstream csv(reg.ToCsv());
@@ -167,7 +166,6 @@ std::map<std::string, double> ExactValues(obs::MetricRegistry& reg) {
     const size_t value_at = line.rfind(',') + 1;
     const std::string kind = line.substr(0, name_at - 1);
     const std::string name = line.substr(name_at, value_at - 1 - name_at);
-    if (name.find(".wall_us") != std::string::npos) continue;
     double value = std::stod(line.substr(value_at));
     if (kind == "gauge") {
       const size_t label = name.find("{node=");
@@ -178,7 +176,9 @@ std::map<std::string, double> ExactValues(obs::MetricRegistry& reg) {
                                      name.substr(label + 6))))
                         ->value();
     } else if (kind == "histogram_sum") {
-      value = reg.GetHistogram(name, {})->sum();
+      value = reg.GetHistogram(name)->sum();
+    } else if (kind == "histogram_max") {
+      value = reg.GetHistogram(name)->max_seen();
     }
     values[kind + "," + name] = value;
   }

@@ -5,6 +5,8 @@
 //     trace root, causally linked back to that round, and terminates in
 //     re-election traffic (fig13-style spurious-reconfiguration forensics);
 //   * USE SNAPSHOT queries are answered only by non-passive nodes;
+//   * an election, a maintenance round and a query each record one phase
+//     span over their simulated interval;
 //   * health sampling feeds the derived gauges.
 #include <gtest/gtest.h>
 
@@ -139,6 +141,55 @@ TEST(TracingIntegrationTest,
   ASSERT_EQ(violation->verdicts.size(), 1u);
   EXPECT_EQ(violation->verdicts[0].invariant, "violation.termination");
   EXPECT_TRUE(violation->verdicts[0].pass) << violation->ToString();
+}
+
+TEST(TracingIntegrationTest, EachPhaseRecordsOneSpanOverItsInterval) {
+  SensitivityConfig config;
+  config.num_nodes = 30;
+  config.num_classes = 3;
+  config.trace_sampling = 1.0;
+  SensitivityOutcome outcome = RunSensitivityTrial(config);
+  SensorNetwork& net = *outcome.network;
+  const SnapshotConfig& snap = net.agents()[0]->config();
+  const Time round = net.now() + 1;
+  net.ScheduleMaintenance(round, round + 1, 10);
+  net.RunUntil(round);
+  ExecutionOptions options;
+  options.sink = 0;
+  net.executor().ExecuteRegion(Rect{0.0, 0.0, 1.0, 1.0}, /*use_snapshot=*/true,
+                               AggregateFunction::kAvg, options);
+
+  struct Expected {
+    const char* name;
+    obs::TraceRootKind root;
+    Time begin;
+    Time end;
+  };
+  const Time t0 = config.discovery_time;
+  const Expected expected[] = {
+      {"election", obs::TraceRootKind::kElection, t0,
+       t0 + 3 + snap.max_wait + snap.rule4_hard_cap + 2},
+      {"maintenance.tick", obs::TraceRootKind::kHeartbeatRound, round, round},
+      {"query.execute", obs::TraceRootKind::kQuery, round, round},
+  };
+  const obs::Tracer& tracer = *net.tracer();
+  std::vector<const obs::TraceSpan*> phases;
+  for (const obs::TraceSpan& span : tracer.spans()) {
+    if (span.kind == obs::TraceSpanKind::kPhase) phases.push_back(&span);
+  }
+  ASSERT_EQ(phases.size(), 3u);
+  for (size_t i = 0; i < phases.size(); ++i) {
+    const obs::TraceSpan& span = *phases[i];
+    EXPECT_EQ(span.name, expected[i].name);
+    EXPECT_EQ(span.start, expected[i].begin) << span.name;
+    EXPECT_EQ(span.end, expected[i].end) << span.name;
+    // The phase hangs directly off its own trace's root.
+    const obs::TraceSpan* root = tracer.FindSpan(span.parent_span_id);
+    ASSERT_NE(root, nullptr) << span.name;
+    EXPECT_EQ(root->kind, obs::TraceSpanKind::kRoot);
+    EXPECT_EQ(root->root_kind, expected[i].root) << span.name;
+    EXPECT_EQ(root->trace_id, span.trace_id);
+  }
 }
 
 TEST(TracingIntegrationTest, HealthSamplingDerivesGauges) {

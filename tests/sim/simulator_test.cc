@@ -95,6 +95,25 @@ TEST(SimulatorTest, LossDropsDeliveries) {
   EXPECT_EQ(sim.metrics().total_sent(), 1u);
 }
 
+TEST(SimulatorTest, SetLossProbabilityTakesEffectMidRun) {
+  Simulator sim = MakeLine(5.0);
+  int received = 0;
+  sim.SetHandler(2, [&](const Message&, bool) { ++received; });
+  sim.Send(DataMsg(0, 1.0, /*to=*/2));
+  sim.RunAll();
+  ASSERT_EQ(received, 1);
+  sim.SetLossProbability(1.0);
+  EXPECT_DOUBLE_EQ(sim.links().loss_probability(), 1.0);
+  sim.Send(DataMsg(0, 2.0, /*to=*/2));
+  sim.RunAll();
+  EXPECT_EQ(received, 1);  // the addressed copy was lost, not delivered
+  EXPECT_EQ(sim.metrics().total_lost(), 1u);
+  sim.SetLossProbability(0.0);
+  sim.Send(DataMsg(0, 3.0, /*to=*/2));
+  sim.RunAll();
+  EXPECT_EQ(received, 2);
+}
+
 TEST(SimulatorTest, SendingChargesTransmitCost) {
   SimConfig config;
   config.energy.initial_battery = 2.0;

@@ -24,10 +24,9 @@ update all three together.
 """
 
 import argparse
-import json
 import sys
 
-from sidecar_schema import check_fields, is_number
+from sidecar_schema import check_fields, is_number, load
 
 SCHEMA_VERSION = 2
 
@@ -93,21 +92,6 @@ def compare(base, cur, args):
     return regressions, notes
 
 
-def load(path, min_benchmarks):
-    try:
-        with open(path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    errors = validate(report, path, min_benchmarks)
-    if errors:
-        for e in errors:
-            print(f"schema error: {e}", file=sys.stderr)
-        sys.exit(2)
-    return report
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="baseline BENCH.json (or the only "
@@ -126,7 +110,7 @@ def main():
     if args.validate:
         if args.current:
             parser.error("--validate takes a single file")
-        report = load(args.baseline, args.min_benchmarks)
+        report, _ = load(args.baseline, validate, args.min_benchmarks)
         print(f"{args.baseline}: valid (schema {SCHEMA_VERSION}, "
               f"{len(report['benchmarks'])} benchmarks, "
               f"git {report['git_sha']})")
@@ -134,8 +118,8 @@ def main():
 
     if not args.current:
         parser.error("need BASELINE and CURRENT (or --validate)")
-    base = load(args.baseline, args.min_benchmarks)
-    cur = load(args.current, args.min_benchmarks)
+    base, _ = load(args.baseline, validate, args.min_benchmarks)
+    cur, _ = load(args.current, validate, args.min_benchmarks)
 
     regressions, notes = compare(base, cur, args)
     for n in notes:

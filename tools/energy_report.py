@@ -27,7 +27,7 @@ import math
 import os
 import sys
 
-from sidecar_schema import is_number
+from sidecar_schema import is_number, load
 
 SCHEMA_VERSION = 1
 KIND = "snapq-energymap"
@@ -257,23 +257,11 @@ def main():
                         help="emit a machine-readable verdict")
     args = parser.parse_args()
 
-    try:
-        with open(args.map) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"error: cannot read {args.map}: {err}", file=sys.stderr)
-        return 2
-
+    doc, _ = load(args.map)
     errors = validate(doc)
     failures, checked = [], 0
     if not errors and args.baseline:
-        try:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read {args.baseline}: {err}",
-                  file=sys.stderr)
-            return 2
+        baseline, _ = load(args.baseline)
         failures, checked = gate_against_baseline(doc, baseline)
 
     if args.json:

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Shared schema helpers for the sidecar tools (not a tool itself).
 
-bench_compare.py, timeline_check.py and topo_report.py validate their
-JSON documents against {field: type} tables with check_fields(), and the
-latter two write their machine-readable verdicts with
-write_json_verdict(). energy_report.py uses is_number(). The tools import this module from their own
+Every tool reads its documents through load(). bench_compare.py,
+timeline_check.py and topo_report.py validate them against {field: type}
+tables with check_fields(), and the latter two write their
+machine-readable verdicts with write_json_verdict(). energy_report.py
+uses is_number(). The tools import this module from their own
 directory: `from sidecar_schema import check_fields`.
 """
 
@@ -35,6 +36,31 @@ def check_fields(obj, fields, where, errors):
     for key in obj:
         if key not in fields:
             errors.append(f"{where}: unknown field '{key}'")
+
+
+def load(path, validate=None, *args, strict=True):
+    """Reads the JSON document at `path` and checks it with
+    validate(doc, path, *args), which returns a list of error strings.
+
+    Returns (doc, errors). An unreadable or malformed file gives doc None
+    and the one error "cannot read PATH: REASON". With strict=True any
+    error ends the process with exit code 2 instead: a read error is
+    printed as "error: ...", each schema error as "schema error: ...".
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        if strict:
+            print(f"error: cannot read {path}: {e}", file=sys.stderr)
+            sys.exit(2)
+        return None, [f"cannot read {path}: {e}"]
+    errors = validate(doc, path, *args) if validate else []
+    if errors and strict:
+        for e in errors:
+            print(f"schema error: {e}", file=sys.stderr)
+        sys.exit(2)
+    return doc, errors
 
 
 def write_json_verdict(dest, payload):

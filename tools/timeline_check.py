@@ -24,10 +24,9 @@ update all three together.
 """
 
 import argparse
-import json
 import sys
 
-from sidecar_schema import check_fields, write_json_verdict
+from sidecar_schema import check_fields, load, write_json_verdict
 
 SCHEMA_VERSION = 1
 KIND = "snapq-timeline"
@@ -165,25 +164,6 @@ def compare(base, cur, args):
     return regressions, notes
 
 
-def load_lenient(path, min_series):
-    """Returns (doc_or_None, error_strings); never exits."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        return None, [f"cannot read {path}: {e}"]
-    return doc, validate(doc, path, min_series)
-
-
-def load(path, min_series):
-    doc, errors = load_lenient(path, min_series)
-    if errors:
-        for e in errors:
-            print(f"schema error: {e}", file=sys.stderr)
-        sys.exit(2)
-    return doc
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="baseline timeline sidecar (or the "
@@ -214,7 +194,8 @@ def main():
     if args.validate:
         if args.current:
             parser.error("--validate takes a single file")
-        doc, errors = load_lenient(args.baseline, args.min_series)
+        doc, errors = load(args.baseline, validate, args.min_series,
+                           strict=False)
         for e in errors:
             print(f"schema error: {e}", file=sys.stderr)
         valid = not errors
@@ -246,8 +227,8 @@ def main():
 
     if not args.current:
         parser.error("need BASELINE and CURRENT (or --validate)")
-    base = load(args.baseline, args.min_series)
-    cur = load(args.current, args.min_series)
+    base, _ = load(args.baseline, validate, args.min_series)
+    cur, _ = load(args.current, validate, args.min_series)
 
     regressions, notes = compare(base, cur, args)
     for n in notes:

@@ -28,10 +28,9 @@ tests/obs/topo_schema_test.cc — update all three together.
 """
 
 import argparse
-import json
 import sys
 
-from sidecar_schema import check_fields, is_number, write_json_verdict
+from sidecar_schema import check_fields, is_number, load, write_json_verdict
 
 SCHEMA_VERSION = 1
 KIND = "snapq-topo"
@@ -295,13 +294,7 @@ def main():
     if (args.json or args.max_partitions is not None) and not args.validate:
         parser.error("--json/--max-partitions require --validate")
 
-    try:
-        with open(args.file, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        doc, errors = None, [f"cannot read {args.file}: {e}"]
-    else:
-        errors = validate(doc, args.file)
+    doc, errors = load(args.file, validate, strict=False)
 
     if args.validate:
         for e in errors:
