@@ -16,7 +16,9 @@
 // breach also dumps a `.blackbox.json` flight-recorder snapshot with the
 // journal window around the incident.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench_report.h"
@@ -143,6 +145,16 @@ SNAPQ_BENCHMARK(longrun_soak,
   std::printf("soak horizon %lld, %llu telemetry samples\n",
               static_cast<long long>(horizon),
               static_cast<unsigned long long>(net.telemetry()->num_samples()));
+  // The radio's totals: what the loss burst and the deaths did to the
+  // traffic, on stdout so a build that changes the simulation shows here.
+  const MetricsSnapshot radio = net.sim().metrics().Snapshot();
+  const uint64_t snooped = std::accumulate(
+      radio.snooped.begin(), radio.snooped.end(), uint64_t{0});
+  std::printf("radio: %llu sent, %llu delivered, %llu lost, %llu snooped\n",
+              static_cast<unsigned long long>(radio.total_sent),
+              static_cast<unsigned long long>(radio.total_delivered),
+              static_cast<unsigned long long>(radio.total_lost),
+              static_cast<unsigned long long>(snooped));
   // The SLO table goes to stderr: its proc.rss_kb rule reports the
   // process's own RSS trend, which moves with the binary, not with the
   // simulation, and stdout stays comparable byte for byte across builds.

@@ -6,10 +6,11 @@
 // to a limit.
 //
 // Built for the simulator's event hot path: EventQueue stores one of
-// these per pending event, and Simulator::Send's pooled delivery closure
-// (two pointers) fits inline with room to spare — so a simulated message
-// delivery costs zero allocations (tests/sim/event_queue_alloc_test.cc
-// pins this). Kept in common/ because nothing about it is sim-specific.
+// these per pending event, and Simulator::Send's pooled transmission
+// closure (two pointers, one per send whatever its fan-out) fits inline
+// with room to spare — so a simulated transmission costs zero allocations
+// (tests/sim/event_queue_alloc_test.cc pins this). Kept in common/ because
+// nothing about it is sim-specific.
 #ifndef SNAPQ_COMMON_INLINE_FUNCTION_H_
 #define SNAPQ_COMMON_INLINE_FUNCTION_H_
 

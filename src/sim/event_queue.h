@@ -5,8 +5,8 @@
 //
 // Events carry a small-buffer-optimized action (EventQueue::Action):
 // closures up to kActionInlineBytes are stored inside the event itself,
-// so the per-message delivery hot path schedules with zero heap
-// allocations once the underlying heap vector has warmed up
+// so the delivery hot path (one event per transmission) schedules with
+// zero heap allocations once the underlying heap vector has warmed up
 // (tests/sim/event_queue_alloc_test.cc pins this).
 #ifndef SNAPQ_SIM_EVENT_QUEUE_H_
 #define SNAPQ_SIM_EVENT_QUEUE_H_
@@ -23,8 +23,8 @@ namespace snapq {
 /// Priority queue of (time, seq, action) triples ordered by time then seq.
 class EventQueue {
  public:
-  /// Inline action capacity: sized so the simulator's pooled delivery
-  /// closure (two pointers) and the traced ScheduleAt wrapper
+  /// Inline action capacity: sized so the simulator's pooled transmission
+  /// closure (two pointers, one per send) and the traced ScheduleAt wrapper
   /// (this + TraceContext + std::function) both stay allocation-free.
   /// Bigger captures still work — they fall back to one heap allocation.
   static constexpr size_t kActionInlineBytes = 64;

@@ -19,10 +19,6 @@ Simulator::Simulator(std::vector<Point> positions, std::vector<double> ranges,
   batteries_.assign(n, Battery(config_.energy.initial_battery));
   handlers_.resize(n);
   sent_by_.assign(n, 0);
-  // One broadcast can enqueue up to n-1 deliveries; pre-sizing the pool
-  // bookkeeping keeps the first full-fanout round allocation-quiet too.
-  delivery_pool_.reserve(n);
-  free_deliveries_.reserve(n);
 }
 
 void Simulator::SetHandler(NodeId id, MessageHandler handler) {
@@ -98,6 +94,11 @@ bool Simulator::Send(const Message& msg) {
                                          queue_.now());
   }
 
+  // One pooled event carries every surviving copy of this transmission.
+  // Loss and snoop are drawn here, per receiver in row order, exactly as
+  // if each copy were its own event; liveness is checked per copy at
+  // delivery.
+  DeliveryEvent* event = AcquireDelivery();
   for (NodeId receiver : links_.Reachable(from)) {
     const bool addressed =
         msg.to == kBroadcastId || msg.to == receiver;
@@ -124,19 +125,22 @@ bool Simulator::Send(const Message& msg) {
       }
       continue;
     }
-    // Copy the message into a pooled delivery event; the sender may
-    // mutate or destroy its copy after Send returns. Copy-assignment into
-    // the pooled record reuses the vector payloads' capacity, and the
-    // scheduled closure is two pointers, so a steady-state delivery
-    // performs no heap allocation. The copy carries the message span so
-    // the receiver's handler inherits this transmission's context.
-    DeliveryEvent* event = AcquireDelivery();
-    event->receiver = receiver;
-    event->snooped = snooped;
-    event->msg = msg;
-    event->msg.trace = span_ctx;
-    queue_.ScheduleAt(queue_.now(), [this, event] { RunDelivery(event); });
+    event->copies.push_back({receiver, snooped});
   }
+  if (event->copies.empty()) {
+    free_deliveries_.push_back(event);
+    return true;
+  }
+  // Copy the message once; the sender may mutate or destroy its copy
+  // after Send returns. Copy-assignment into the pooled record reuses the
+  // vector payloads' capacity, as push_back above reuses the receiver
+  // list's, and the scheduled closure is two pointers, so a steady-state
+  // transmission performs no heap allocation. The copy carries the
+  // message span so every receiver's handler inherits this
+  // transmission's context.
+  event->msg = msg;
+  event->msg.trace = span_ctx;
+  queue_.ScheduleAt(queue_.now(), [this, event] { RunDelivery(event); });
   return true;
 }
 
@@ -151,7 +155,12 @@ Simulator::DeliveryEvent* Simulator::AcquireDelivery() {
 }
 
 void Simulator::RunDelivery(DeliveryEvent* event) {
-  Deliver(event->receiver, event->msg, event->snooped);
+  // The record is out of the pool until the loop ends, so a handler's own
+  // Send (which may grow the pool) never touches this message or list.
+  for (const DeliveryEvent::Copy& copy : event->copies) {
+    Deliver(copy.receiver, event->msg, copy.snooped);
+  }
+  event->copies.clear();
   free_deliveries_.push_back(event);
 }
 

@@ -72,10 +72,12 @@ class Simulator {
   /// Schedules an action `delta` >= 0 time units from now.
   void ScheduleAfter(Time delta, std::function<void()> action);
 
-  /// Transmits `msg` (msg.from must be a live node). Deliveries are
-  /// scheduled at now() (radio latency is negligible at the paper's
-  /// time-unit granularity) after loss sampling. Returns false if the
-  /// sender was dead and nothing was transmitted.
+  /// Transmits `msg` (msg.from must be a live node). Loss and snooping are
+  /// sampled now; one event at now() (radio latency is negligible at the
+  /// paper's time-unit granularity) then delivers the surviving copies in
+  /// link row order, so whatever a handler schedules at now() runs after
+  /// the last copy. Returns false if the sender was dead and nothing was
+  /// transmitted.
   bool Send(const Message& msg);
 
   /// Charges `id` one cache-maintenance CPU operation.
@@ -211,15 +213,21 @@ class Simulator {
   bool idle() const { return queue_.empty(); }
 
  private:
-  /// A pooled in-flight delivery: the message copy plus its addressing.
-  /// Pooling reuses the Message's vector payloads (ids/epochs/values)
-  /// across deliveries, so a steady-state Send schedules each receiver's
-  /// delivery with zero heap allocations (the closure pushed into the
-  /// event queue is just {this, event*} and stays inline).
+  /// A pooled in-flight transmission: one message copy, stamped with the
+  /// transmission's span, and the receivers that survived loss in
+  /// LinkModel::Reachable row order, each with its snoop flag. One event
+  /// delivers them all. Pooling reuses the Message's vector payloads
+  /// (ids/epochs/values) and the receiver list's capacity across
+  /// transmissions, so a steady-state Send schedules its one event with
+  /// zero heap allocations (the closure pushed into the event queue is
+  /// just {this, event*} and stays inline).
   struct DeliveryEvent {
+    struct Copy {
+      NodeId receiver;
+      bool snooped;
+    };
     Message msg;
-    NodeId receiver = kInvalidNode;
-    bool snooped = false;
+    std::vector<Copy> copies;  // empty while the record is in the pool
   };
 
   void Deliver(NodeId to, const Message& msg, bool snooped);
@@ -238,9 +246,11 @@ class Simulator {
   /// Death bookkeeping shared by Charge and Kill: net.node_deaths,
   /// ledger death tick, and the frozen-schema node_death journal event.
   void OnNodeDeath(NodeId id, const char* cause);
-  /// Pops a pooled delivery record (allocating only when the pool is dry).
+  /// Pops a pooled transmission record (allocating only when the pool is
+  /// dry).
   DeliveryEvent* AcquireDelivery();
-  /// Runs one pooled delivery and returns the record to the pool.
+  /// Delivers every copy of one pooled transmission, in order, and returns
+  /// the record to the pool.
   void RunDelivery(DeliveryEvent* event);
 
   LinkModel links_;
@@ -255,9 +265,10 @@ class Simulator {
   std::vector<uint64_t> sent_by_;
   std::vector<NodeId> deaths_;
   RepresentationIndex representation_;
-  /// Owns every delivery record ever created; free_deliveries_ holds the
-  /// currently idle ones. Records are stable on the heap (unique_ptr) so
-  /// scheduled closures can carry raw pointers across heap sifts.
+  /// Owns every transmission record ever created (one per transmission in
+  /// flight at the busiest moment); free_deliveries_ holds the currently
+  /// idle ones. Records are stable on the heap (unique_ptr) so scheduled
+  /// closures can carry raw pointers across heap sifts and pool growth.
   std::vector<std::unique_ptr<DeliveryEvent>> delivery_pool_;
   std::vector<DeliveryEvent*> free_deliveries_;
   std::array<double, kNumMessageTypes> type_loss_{};

@@ -1,15 +1,18 @@
 // Acceptance bar for the zero-allocation event hot path (same global
 // new/delete harness as profiler_alloc_test): once the event queue's heap
-// vector and the simulator's delivery pool are warm, scheduling an
-// inline-sized action and delivering a broadcast message — vectors and
-// all — must perform ZERO heap allocations, and the pooled Send path must
-// keep the profiler's kMessagesSent accounting intact.
+// vector and the simulator's transmission pool are warm, scheduling an
+// inline-sized action and delivering a transmission — payload vectors and
+// receiver list included — must perform ZERO heap allocations, and the
+// pooled Send path must keep the profiler's kMessagesSent accounting
+// intact.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "obs/profiler.h"
 #include "sim/event_queue.h"
@@ -144,8 +147,8 @@ TEST(EventQueueAllocTest, SteadyStateDeliveryIsAllocationFree) {
     sim.SetHandler(i, [&delivered](const Message&, bool) { ++delivered; });
   }
   const Message m = PayloadMsg();
-  // Warm up the delivery pool, the pooled messages' vector capacities and
-  // the event queue's backing vector.
+  // Warm up the transmission pool, the pooled messages' vector capacities
+  // and the event queue's backing vector.
   for (int i = 0; i < 16; ++i) {
     sim.Send(m);
     sim.RunAll();
@@ -160,6 +163,50 @@ TEST(EventQueueAllocTest, SteadyStateDeliveryIsAllocationFree) {
   EXPECT_EQ(Allocations() - before, 0u);
   // Each broadcast reaches the two other nodes in range.
   EXPECT_EQ(delivered - delivered_before, 1024u);
+}
+
+TEST(EventQueueAllocTest, WideFanoutTransmissionsAreAllocationFree) {
+  // A broadcast into a clique and a unicast that every other node snoops:
+  // each fills a receiver list as long as the clique, which must reuse its
+  // capacity once warm.
+  obs::Profiler::Disable();
+  constexpr size_t kClique = 20;
+  std::vector<Point> positions;
+  for (size_t i = 0; i < kClique; ++i) {
+    positions.push_back({static_cast<double>(i), 0});
+  }
+  SimConfig config;
+  config.seed = 7;
+  config.snoop_probability = 1.0;
+  Simulator sim(std::move(positions), std::vector<double>(kClique, 100.0),
+                config);
+  uint64_t delivered = 0;
+  uint64_t snooped = 0;
+  for (NodeId i = 0; i < kClique; ++i) {
+    sim.SetHandler(i, [&](const Message&, bool snoop) {
+      ++(snoop ? snooped : delivered);
+    });
+  }
+  const Message broadcast = PayloadMsg();
+  Message unicast = PayloadMsg();
+  unicast.to = 5;
+  for (int i = 0; i < 16; ++i) {
+    sim.Send(broadcast);
+    sim.Send(unicast);
+    sim.RunAll();
+  }
+
+  const uint64_t before = Allocations();
+  const uint64_t delivered_before = delivered;
+  const uint64_t snooped_before = snooped;
+  sim.Send(broadcast);
+  sim.Send(unicast);
+  sim.RunAll();
+  EXPECT_EQ(Allocations() - before, 0u);
+  // The broadcast reaches every other node; the unicast reaches node 5
+  // and is snooped by everyone but the sender and node 5.
+  EXPECT_EQ(delivered - delivered_before, (kClique - 1) + 1);
+  EXPECT_EQ(snooped - snooped_before, kClique - 2);
 }
 
 TEST(EventQueueAllocTest, PooledSendKeepsProfilerAccountingIntact) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "obs/energy_ledger.h"
+#include "obs/metric_registry.h"
 #include "obs/topo.h"
 #include "obs/tracer.h"
 
@@ -177,6 +180,99 @@ TEST(SimulatorTest, MessageCopiedIntoDelivery) {
   }
   sim.RunAll();
   EXPECT_DOUBLE_EQ(got, 42.0);
+}
+
+/// `n` nodes on a line at unit spacing, every pair in range.
+Simulator MakeClique(size_t n, SimConfig config = {}) {
+  std::vector<Point> positions;
+  for (size_t i = 0; i < n; ++i) {
+    positions.push_back({static_cast<double>(i), 0});
+  }
+  return Simulator(std::move(positions),
+                   std::vector<double>(n, static_cast<double>(n)), config);
+}
+
+TEST(SimulatorTest, SendFromHandlerRunsAfterTheWholeBroadcast) {
+  Simulator sim = MakeClique(4);
+  // (receiver, sender) in delivery order.
+  std::vector<std::pair<NodeId, NodeId>> log;
+  bool relayed = false;
+  for (NodeId i = 0; i < 4; ++i) {
+    sim.SetHandler(i, [&, i](const Message& m, bool) {
+      log.push_back({i, m.from});
+      if (m.from == 0 && !relayed) {
+        relayed = true;  // the first copy of node 0's broadcast
+        sim.Send(DataMsg(i, 2.0));
+      }
+    });
+  }
+  sim.Send(DataMsg(0, 1.0));
+  sim.RunAll();
+  const std::vector<std::pair<NodeId, NodeId>> want = {
+      {1, 0}, {2, 0}, {3, 0}, {0, 1}, {2, 1}, {3, 1}};
+  EXPECT_EQ(log, want);
+}
+
+TEST(SimulatorTest, ReceiverKilledMidBroadcastGetsNothing) {
+  SimConfig config;
+  config.energy.initial_battery = 10.0;
+  config.energy.rx_cost = 0.5;
+  Simulator sim = MakeClique(4, config);
+  obs::MetricRegistry registry;
+  obs::EnergyLedger ledger(config.energy, sim.num_nodes(), &registry);
+  sim.SetEnergyLedger(&ledger);
+  std::vector<int> received(4, 0);
+  for (NodeId i = 0; i < 4; ++i) {
+    sim.SetHandler(i, [&, i](const Message&, bool) {
+      ++received[i];
+      if (i == 1) sim.Kill(3);  // 3 comes later in the same transmission
+    });
+  }
+  sim.Send(DataMsg(0, 1.0));
+  sim.RunAll();
+  EXPECT_EQ(received, (std::vector<int>{0, 1, 1, 0}));
+  EXPECT_EQ(sim.metrics().delivered(MessageType::kData), 2u);
+  const size_t rx = obs::EnergyLedger::CellIndex(obs::EnergyDirection::kRx,
+                                                 MessageType::kData);
+  EXPECT_DOUBLE_EQ(ledger.cell(2, rx), 0.5);
+  EXPECT_EQ(ledger.cell(3, rx), 0.0);
+}
+
+TEST(SimulatorTest, ReentrantSendsKeepTheOuterPayload) {
+  constexpr size_t kNodes = 8;
+  Simulator sim = MakeClique(kNodes);
+  Message outer = DataMsg(0, 42.0);
+  outer.ids = {1, 2, 3};
+  outer.epochs = {4, 5, 6};
+  outer.values = {0.25, 0.5, 0.75};
+  std::vector<int> outer_copies(kNodes, 0);
+  for (NodeId i = 0; i < kNodes; ++i) {
+    sim.SetHandler(i, [&, i](const Message& m, bool) {
+      if (m.from != 0) return;
+      EXPECT_EQ(m.value, outer.value) << "node " << i;
+      EXPECT_EQ(m.ids, outer.ids) << "node " << i;
+      EXPECT_EQ(m.epochs, outer.epochs) << "node " << i;
+      EXPECT_EQ(m.values, outer.values) << "node " << i;
+      ++outer_copies[i];
+      if (i != 1) return;
+      // The first receiver floods the pool with transmissions of its own,
+      // each with different payloads, while node 0's is still in flight.
+      for (int k = 0; k < 32; ++k) {
+        Message inner = DataMsg(i, -1.0 - k);
+        inner.ids.assign(16, 9);
+        inner.epochs.assign(16, 9);
+        inner.values.assign(16, -9.0);
+        sim.Send(inner);
+      }
+    });
+  }
+  sim.Send(outer);
+  sim.RunAll();
+  std::vector<int> want(kNodes, 1);
+  want[0] = 0;
+  EXPECT_EQ(outer_copies, want);
+  EXPECT_EQ(sim.metrics().total_sent(), 33u);
+  EXPECT_EQ(sim.metrics().total_delivered(), (kNodes - 1) * 33);
 }
 
 TEST(SimulatorTest, ScheduleAfterUsesRelativeTime) {
